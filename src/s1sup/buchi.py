@@ -1258,35 +1258,61 @@ def format_nfa(A: BuchiNfa) -> str:
 
 
 def parse_nfa(text: str) -> BuchiNfa:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise ValueError("expected header line 'nfa <states> <alphabet>'")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "nfa":
-        raise ValueError("expected header line 'nfa <states> <alphabet>'")
-    try:
-        state_count, alphabet_size = int(head[1]), int(head[2])
-    except ValueError:
-        raise ValueError("expected header line 'nfa <states> <alphabet>'") from None
+    """Read the format format_nfa writes: a header 'nfa <states>
+    <alphabet>', at most one 'initial' and one 'accepting' line, and
+    'trans <p> <a> <q>' lines.  Blank lines and '#' comments are ignored.
+    Every error names the 1-based line it is on."""
+    header = None
+    first_line: dict[str, int] = {}
     fields: dict[str, list[int]] = {}
     transitions = []
-    for line in lines[1:]:
-        toks = line.split()
-        if toks[0] in ("initial", "accepting"):
-            fields[toks[0]] = [int(t) for t in toks[1:]]
+    number = 0
+
+    def fail(message: str) -> ValueError:
+        return ValueError(f"line {number}: {message}")
+
+    def ints(toks, limits):
+        """Integers of toks, each checked against its (name, bound) limit;
+        a bound of None leaves the value unchecked."""
+        out = []
+        for tok, (what, bound) in zip(toks, limits):
+            try:
+                value = int(tok)
+            except ValueError:
+                raise fail(f"expected an integer, found {tok!r}") from None
+            if bound is not None and not 0 <= value < bound:
+                raise fail(f"{what} {value} out of range 0..{bound - 1}")
+            out.append(value)
+        return out
+
+    for number, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if header is None:
+            if len(toks) != 3 or toks[0] != "nfa":
+                raise fail("expected header line 'nfa <states> <alphabet>'")
+            header = ints(toks[1:], [("count", None)] * 2)
+            if min(header) < 0:
+                raise fail("state and letter counts must be nonnegative")
+            state, letter = ("state", header[0]), ("letter", header[1])
+        elif toks[0] in ("initial", "accepting"):
+            seen = first_line.setdefault(toks[0], number)
+            if seen != number:
+                raise fail(f"second {toks[0]!r} line, the first is line {seen}")
+            fields[toks[0]] = ints(toks[1:], [state] * (len(toks) - 1))
         elif toks[0] == "trans":
             if len(toks) != 4:
-                raise ValueError(f"bad transition line: {line!r}")
-            transitions.append(tuple(int(t) for t in toks[1:]))
+                raise fail("expected 'trans <p> <a> <q>'")
+            transitions.append(tuple(ints(toks[1:], [state, letter, state])))
         else:
-            raise ValueError(f"unrecognized line: {line!r}")
+            raise fail(f"unrecognized line {toks[0]!r}")
+    if header is None:
+        number += 1
+        raise fail("expected header line 'nfa <states> <alphabet>'")
     return BuchiNfa(
-        state_count,
-        alphabet_size,
+        header[0],
+        header[1],
         transitions,
         fields.get("initial", []),
         fields.get("accepting", []),

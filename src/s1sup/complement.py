@@ -9,6 +9,11 @@ infinitely many W blocks.  A kind is compatible when the base automaton
 accepts some word of that kind; the union of kind automata over the
 incompatible kinds accepts exactly the ultimately periodic words the base
 automaton rejects.
+
+The color closure records its right-multiplication table as it goes.  That
+table is the one source of tracker transitions: color_nfa and every kind
+automaton read it over color indices, and the semigroup kind automata read
+a semigroup's own multiplication table through the same builder.
 """
 
 from __future__ import annotations
@@ -97,107 +102,104 @@ def gamma_word(A: BuchiNfa, w: Sequence[int]) -> Color:
     return acc
 
 
-def _class_gammas(A: BuchiNfa) -> list[Color]:
-    out = []
-    for cls, first in enumerate(A._class_first_letter):
-        out.append(gamma_letter(A, first))
-    return out
-
-
 def _closure(A: BuchiNfa, max_colors: int):
-    """All colors of nonempty words, in deterministic discovery order.
+    """All colors of nonempty words, in deterministic discovery order, with
+    their right-multiplication table.
 
-    Returns (colors, index map, per-class letter colors).  Seeds are the
-    letter colors in class order; the worklist extends each discovered
-    color on the right by every letter color.  Right extension alone
-    reaches the whole subsemigroup, every word being a left fold of its
-    letters.
+    Returns (colors, index, first, step): index maps a color to its position
+    in colors, first[c] is the index of the color of letter class c, and
+    step[i][c] the index of colors[i] extended on the right by class c.
+    Seeds are the letter colors in class order; the worklist extends each
+    discovered color on the right by every letter color.  Right extension
+    alone reaches the whole subsemigroup, every word being a left fold of
+    its letters.  The table is the one source of tracker transitions.
     """
-    gammas = _class_gammas(A)
+    gammas = [gamma_letter(A, a) for a in A._class_first_letter]
     colors: list[Color] = []
     index: dict[Color, int] = {}
 
-    def add(c: Color):
-        if c not in index:
+    def add(c: Color) -> int:
+        i = index.get(c)
+        if i is None:
             if len(colors) >= max_colors:
                 raise BudgetExceeded(max_colors)
-            index[c] = len(colors)
+            i = index[c] = len(colors)
             colors.append(c)
+        return i
 
-    for g in gammas:
-        add(g)
+    first = [add(g) for g in gammas]
+    step = []
     i = 0
     while i < len(colors):
         x = colors[i]
-        for g in gammas:
-            add(color_add(x, g))
+        step.append([add(color_add(x, g)) for g in gammas])
         i += 1
-    return colors, index, gammas
+    return colors, index, first, step
 
 
 def realizable_colors(A: BuchiNfa, max_colors: int = DEFAULT_MAX_COLORS) -> list[Color]:
     """Colors realized by nonempty words, in deterministic order."""
-    colors, _, _ = _closure(A, max_colors)
-    return colors
+    return _closure(A, max_colors)[0]
+
+
+def _targets(first, step, c: int) -> list[int]:
+    """Elements a tracker moves to on letter class c: from its start, then
+    from each element in order."""
+    return [first[c]] + [row[c] for row in step]
 
 
 def color_nfa(A: BuchiNfa, c: Color, max_colors: int = DEFAULT_MAX_COLORS) -> BuchiNfa:
     """Automaton accepting the finite-word tracking of color c, read as a
     Buchi automaton: state 0 is a start with no incoming transitions, state
     1 + i tracks the i-th realizable color, and the state of c accepts."""
-    colors, index, gammas = _closure(A, max_colors)
-    letter_class = list(A._letter_class)
-    class_rows = []
-    for g in gammas:
-        rows = [(1 + index[g],)]
-        for ci in colors:
-            rows.append((1 + index[color_add(ci, g)],))
-        class_rows.append(tuple(rows))
+    colors, index, first, step = _closure(A, max_colors)
+    class_rows = [
+        tuple((1 + t,) for t in _targets(first, step, cls)) for cls in range(len(first))
+    ]
     accepting = [1 + index[c]] if c in index else []
     return BuchiNfa._make(
-        1 + len(colors), A.alphabet_size, letter_class, class_rows, [0], accepting
+        1 + len(colors), A.alphabet_size, A._letter_class, class_rows, [0], accepting
     )
 
 
-def _kind_block(A: BuchiNfa, colors, index, gammas, v: Color, w: Color) -> BuchiNfa:
-    """Chain of two color trackers.
+def _kind_block(
+    first, step, letter_class, alphabet_size: int, v: int | None, w: int | None
+) -> BuchiNfa:
+    """Chain of two trackers over the elements of a right-multiplication
+    table, for the kind (v, w) given by element indices.
 
-    States 0 .. C are the first tracker (start plus one state per color),
-    1 + C .. 1 + 2C the second, with q2 = 1 + C both the second start and
-    the only accepting state.  Every transition entering the v state of the
-    first tracker or the w state of the second gets a parallel copy into
-    q2, which cuts the input into a v block followed by w blocks.
+    first[c] is the element of letter class c and step[i][c] the element i
+    extended by class c; the table of the color closure and the table of a
+    semigroup both fit.  States 0 .. n are the first tracker (start plus one
+    state per element), 1 + n .. 1 + 2n the second, with q2 = 1 + n both the
+    second start and the only accepting state.  Every transition entering
+    the v state of the first tracker or the w state of the second gets a
+    parallel copy into q2, which cuts the input into a v block followed by
+    w blocks.  An index matching no element (None) leaves its tracker
+    without a way out, so the block accepts nothing.
     """
-    ncol = len(colors)
-    q2 = 1 + ncol
-    letter_class = list(A._letter_class)
+    n = len(step)
+    q2 = 1 + n
     class_rows = []
-    for g in gammas:
-        rows = []
-        ig = index[g]
-        rows.append((1 + ig, q2) if g == v else (1 + ig,))
-        for ci in colors:
-            nxt = index[color_add(ci, g)]
-            rows.append((1 + nxt, q2) if colors[nxt] == v else (1 + nxt,))
-        rows.append((q2, q2 + 1 + ig) if g == w else (q2 + 1 + ig,))
-        for ci in colors:
-            nxt = index[color_add(ci, g)]
-            rows.append((q2, q2 + 1 + nxt) if colors[nxt] == w else (q2 + 1 + nxt,))
+    for cls in range(len(first)):
+        targets = _targets(first, step, cls)
+        rows = [(1 + t, q2) if t == v else (1 + t,) for t in targets]
+        rows += [(q2, q2 + 1 + t) if t == w else (q2 + 1 + t,) for t in targets]
         class_rows.append(tuple(rows))
-    return BuchiNfa._make(
-        2 + 2 * ncol, A.alphabet_size, letter_class, class_rows, [0], [q2]
-    )
+    return BuchiNfa._make(2 + 2 * n, alphabet_size, letter_class, class_rows, [0], [q2])
 
 
 def kind_nfa(A: BuchiNfa, kind: Kind, max_colors: int = DEFAULT_MAX_COLORS) -> BuchiNfa:
     """Automaton accepting the words that factor as one block of color
     kind[0] followed by infinitely many blocks of color kind[1]."""
-    colors, index, gammas = _closure(A, max_colors)
+    _, index, first, step = _closure(A, max_colors)
     v, w = kind
-    return _kind_block(A, colors, index, gammas, v, w)
+    return _kind_block(
+        first, step, A._letter_class, A.alphabet_size, index.get(v), index.get(w)
+    )
 
 
-def compatible(A: BuchiNfa, kind: Kind, max_colors: int = DEFAULT_MAX_COLORS) -> bool:
+def compatible(A: BuchiNfa, kind: Kind) -> bool:
     """Does A accept some word of this kind?
 
     Equivalent to emptiness of the product of kind_nfa(A, kind) with A, but
@@ -264,16 +266,16 @@ def complement(A: BuchiNfa, max_colors: int = DEFAULT_MAX_COLORS) -> BuchiNfa:
 def complement_with_stats(
     A: BuchiNfa, max_colors: int = DEFAULT_MAX_COLORS
 ) -> tuple[BuchiNfa, ComplementStats]:
-    colors, index, gammas = _closure(A, max_colors)
+    colors, _, first, step = _closure(A, max_colors)
     blocks = []
-    kinds = 0
-    for v in colors:
-        for w in colors:
-            kinds += 1
+    for vi, v in enumerate(colors):
+        for wi, w in enumerate(colors):
             if not compatible(A, (v, w)):
-                blocks.append(_kind_block(A, colors, index, gammas, v, w))
+                blocks.append(
+                    _kind_block(first, step, A._letter_class, A.alphabet_size, vi, wi)
+                )
     result = _union_many(blocks, A.alphabet_size)
-    return result, ComplementStats(len(colors), kinds, len(blocks))
+    return result, ComplementStats(len(colors), len(colors) ** 2, len(blocks))
 
 
 # -- semigroup variants ---------------------------------------------------------
@@ -286,22 +288,7 @@ def kind_nfa_semigroup(g: FiniteSemigroup, kind: tuple[int, int]) -> BuchiNfa:
     c, d = kind
     if not (0 <= c < g.size and 0 <= d < g.size):
         raise ValueError("kind colors out of range")
-    n = g.size
-    q2 = 1 + n
-    letter_class = list(range(n))
-    class_rows = []
-    for a in range(n):
-        rows = []
-        rows.append((1 + a, q2) if a == c else (1 + a,))
-        for i in range(n):
-            s = g.table[i][a]
-            rows.append((1 + s, q2) if s == c else (1 + s,))
-        rows.append((q2, q2 + 1 + a) if a == d else (q2 + 1 + a,))
-        for i in range(n):
-            s = g.table[i][a]
-            rows.append((q2, q2 + 1 + s) if s == d else (q2 + 1 + s,))
-        class_rows.append(tuple(rows))
-    return BuchiNfa._make(2 + 2 * n, n, letter_class, class_rows, [0], [q2])
+    return _kind_block(range(g.size), g.table, range(g.size), g.size, c, d)
 
 
 def rf_nfa(g: FiniteSemigroup) -> BuchiNfa:

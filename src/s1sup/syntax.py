@@ -221,24 +221,6 @@ def _to_full(tree) -> FullFormula:
     raise AssertionError(tag)
 
 
-def _check_atoms_min(tree):
-    tag = tree[0]
-    if tag == "atom":
-        _, op, left, right, pos = tree
-        if op == "in":
-            raise ParseError("'in' atoms need a first order left side", pos)
-        for name in (left, right):
-            if _is_first_order(name):
-                raise AssertionError("first order name leaked into minimal mode")
-    elif tag in ("and",):
-        _check_atoms_min(tree[1])
-        _check_atoms_min(tree[2])
-    elif tag == "not":
-        _check_atoms_min(tree[1])
-    elif tag in ("ex1", "ex2"):
-        _check_atoms_min(tree[2])
-
-
 def parse_formula(text: str) -> ParsedFormula:
     parser = _Parser(_tokenize(text))
     tree = parser.formula()
@@ -247,7 +229,6 @@ def parse_formula(text: str) -> ParsedFormula:
     if full:
         formula: MinFormula | FullFormula = _to_full(tree)
     else:
-        _check_atoms_min(tree)
         formula = _to_min(tree)
     return ParsedFormula(formula, tuple(parser.fo), tuple(parser.so))
 

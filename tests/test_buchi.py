@@ -491,6 +491,40 @@ def test_parse_nfa_rejects_bad_header():
         parse_nfa("buchi 2 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nfa 2 1\ninitial 0\ninitial 1\n", "line 3: second 'initial' line, the first is line 2"),
+        ("nfa 2 1\naccepting 0\n# note\naccepting 1\n", "line 4: second 'accepting' line"),
+    ],
+)
+def test_parse_nfa_rejects_second_initial_or_accepting(text, message):
+    with pytest.raises(ValueError, match="^" + message):
+        parse_nfa(text)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("", 1),
+        ("# only a comment\n\n", 3),
+        ("buchi 2 2\n", 1),
+        ("nfa x 2\n", 1),
+        ("nfa -1 2\n", 1),
+        ("nfa 2 2\n\ntrans 0 x 1\n", 3),
+        ("nfa 2 2\ntrans 0 1\n", 2),
+        ("nfa 2 2\ntrans 0 2 1\n", 2),
+        ("nfa 2 2\ntrans 0 1 2\n", 2),
+        ("nfa 2 2\ninitial 0 5\n", 2),
+        ("nfa 2 2\ninitial 0\naccepting one\n", 3),
+        ("nfa 2 2\nfinal 1\n", 2),
+    ],
+)
+def test_parse_nfa_errors_name_the_line(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        parse_nfa(text)
+
+
 def test_dot_output_mentions_accepting_shape():
     dot = format_dot(inf_ones())
     assert dot.startswith("digraph")

@@ -530,6 +530,14 @@ class TestErrors:
         code, _, err = run_cli(capsys, "empty", a)
         assert code == 2 and err.startswith("error:")
 
+    def test_second_initial_line(self, capsys, tmp_path):
+        a = write(
+            tmp_path, "a.nfa", "nfa 2 1\ninitial 0\ninitial 1\naccepting 0\ntrans 0 0 0\n"
+        )
+        code, out, err = run_cli(capsys, "empty", a)
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: second 'initial' line")
+
     def test_malformed_word(self, capsys, tmp_path):
         f = write(tmp_path, "f.s1s", "X sub Y\n")
         a = str(tmp_path / "a.nfa")

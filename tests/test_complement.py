@@ -5,6 +5,7 @@ import pytest
 from oracles import factorization_exists, naive_membership_up, random_buchi, random_up_word
 from s1sup.buchi import (
     BuchiNfa,
+    find_match,
     intersection,
     is_satisfiable,
     membership_up,
@@ -254,6 +255,21 @@ def test_kind_nfa_matches_factorization_oracle():
         if not want:
             agree_reject += 1
     assert agree_reject > 10
+
+
+def test_kind_nfa_unrealizable_color_accepts_nothing():
+    rng = random.Random(450)
+    checked = 0
+    for _ in range(60):
+        A = random_buchi(rng, 3, 2)
+        cs = realizable_colors(A)
+        z = random_color(rng, A.state_count)
+        if z in cs:
+            continue
+        checked += 1
+        for kind in ((z, rng.choice(cs)), (rng.choice(cs), z)):
+            assert find_match(kind_nfa(A, kind)) is None
+    assert checked > 20
 
 
 def test_kind_soundness_on_up_probes():
