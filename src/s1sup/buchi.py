@@ -11,12 +11,13 @@ classes, so most operations iterate over classes instead of letters.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .semigroup import UpWord, up_at
+from .semigroup import UpWord
 
 
 class AlphabetMismatch(ValueError):
@@ -57,31 +58,33 @@ class BuchiNfa:
     ):
         if state_count < 0 or alphabet_size < 0:
             raise ValueError("state_count and alphabet_size must be nonnegative")
-        per_letter: list[list[list[int]]] = [
-            [[] for _ in range(state_count)] for _ in range(alphabet_size)
-        ]
+        per_letter: defaultdict[int, list[int]] = defaultdict(list)
         for p, a, q in transitions:
             if not (0 <= p < state_count and 0 <= q < state_count):
                 raise ValueError(f"transition ({p},{a},{q}) uses an unknown state")
             if not (0 <= a < alphabet_size):
                 raise ValueError(f"transition ({p},{a},{q}) uses an unknown letter")
-            per_letter[a][p].append(q)
-        rows_by_letter = [
-            tuple(tuple(sorted(set(row))) for row in rows) for rows in per_letter
+            per_letter[a].append(p * state_count + q)
+        # a letter's key is its sorted set of codes p * state_count + q, and
+        # rows are built once per distinct key, never per letter and state;
+        # letters without transitions share the empty key
+        class_id: dict[tuple[int, ...], int] = {}
+        letter_class = [
+            class_id.setdefault(tuple(sorted(set(per_letter.get(a, ())))), len(class_id))
+            for a in range(alphabet_size)
         ]
+        class_rows = []
+        for codes in class_id:
+            rows: list[list[int]] = [[] for _ in range(state_count)]
+            for code in codes:
+                rows[code // state_count].append(code % state_count)
+            class_rows.append(tuple(map(tuple, rows)))
         ini = frozenset(initial)
         acc = frozenset(accepting)
         for s in ini | acc:
             if not (0 <= s < state_count):
                 raise ValueError(f"state {s} out of range")
-        self._init_from(
-            state_count,
-            alphabet_size,
-            list(range(alphabet_size)),
-            rows_by_letter,
-            ini,
-            acc,
-        )
+        self._init_from(state_count, alphabet_size, letter_class, class_rows, ini, acc)
 
     def _init_from(self, state_count, alphabet_size, letter_class, class_rows, ini, acc):
         # canonical form: rows deduplicated by content, classes renumbered
@@ -526,61 +529,81 @@ def union(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     return _union_many([A, B], A.alphabet_size)
 
 
-def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
-    """Product with a round-robin flag.
+def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> tuple[BuchiNfa, list[int]]:
+    """The part of A x B reachable from the initial pairs.
 
-    State (flag, p, q) is encoded as (flag * nA + p) * nB + q.  The flag
-    arms when leaving an accepting B state and resets when leaving an
-    accepting A state while armed; accepting product states are armed
-    states over accepting A states, so a run is accepting exactly when both
-    components accept.
+    A pair carries the code (flag * nA + p) * nB + q, and the states are
+    numbered in ascending code order, so the result is the reachable part
+    of the full product renumbered monotonically.  Returns the automaton
+    and its list of codes, state i having code codes[i].
+
+    Without the flag, accepting states are accepting pairs.  With it, the
+    flag arms when leaving an accepting B state and resets when leaving an
+    accepting A state while armed, and accepting states are armed pairs
+    over accepting A states.
     """
     if A.alphabet_size != B.alphabet_size:
         raise AlphabetMismatch(
             f"alphabets differ: {A.alphabet_size} vs {B.alphabet_size}"
         )
     nA, nB = A.state_count, B.state_count
-    size = 2 * nA * nB
-    acc_a = A.accepting
-    acc_b = B.accepting
-
+    size = nA * nB
     combo_id: dict[tuple[int, int], int] = {}
-    letter_class = []
-    class_rows = []
-    for a in range(A.alphabet_size):
-        combo = (A._letter_class[a], B._letter_class[a])
-        cid = combo_id.get(combo)
-        if cid is None:
-            cid = len(class_rows)
-            combo_id[combo] = cid
-            rows_a = A._class_rows[combo[0]]
-            rows_b = B._class_rows[combo[1]]
-            rows = []
-            for flag in (0, 1):
-                for p in range(nA):
-                    succ_p = rows_a[p]
-                    for q in range(nB):
-                        if flag and p in acc_a:
-                            nf = 0
-                        elif not flag and q in acc_b:
-                            nf = 1
-                        else:
-                            nf = flag
-                        base = nf * nA
-                        rows.append(
-                            tuple(
-                                (base + p2) * nB + q2
-                                for p2 in succ_p
-                                for q2 in rows_b[q]
-                            )
-                        )
-            class_rows.append(tuple(rows))
-        letter_class.append(cid)
-    initial = [p * nB + q for p in sorted(A.initial) for q in sorted(B.initial)]
-    accepting = [
-        (nA + p) * nB + q for p in sorted(acc_a) for q in range(nB)
+    letter_class = [
+        combo_id.setdefault(combo, len(combo_id))
+        for combo in zip(A._letter_class, B._letter_class)
     ]
-    return BuchiNfa._make(size, A.alphabet_size, letter_class, class_rows, initial, accepting)
+    combos = [(A._class_rows[ca], B._class_rows[cb]) for ca, cb in combo_id]
+    acc_a, acc_b = A.accepting, B.accepting
+    start = [p * nB + q for p in sorted(A.initial) for q in sorted(B.initial)]
+    succ: dict[int, list[tuple[int, ...]] | None] = dict.fromkeys(start)
+    work = list(start)
+    while work:
+        code = work.pop()
+        flag, pq = divmod(code, size)
+        p, q = divmod(pq, nB)
+        if flagged and (p in acc_a if flag else q in acc_b):
+            flag = 1 - flag
+        base = flag * nA
+        out = [
+            tuple([(base + p2) * nB + q2 for p2 in rows_a[p] for q2 in rows_b[q]])
+            for rows_a, rows_b in combos
+        ]
+        succ[code] = out
+        for row in out:
+            for x in row:
+                if x not in succ:
+                    succ[x] = None
+                    work.append(x)
+    codes = sorted(succ)
+    remap = {x: i for i, x in enumerate(codes)}
+    get = remap.__getitem__
+    class_rows = [
+        tuple([tuple(map(get, succ[code][k])) for code in codes])
+        for k in range(len(combos))
+    ]
+    if flagged:
+        accepting = [i for i, x in enumerate(codes) if x >= size and x // nB - nA in acc_a]
+    else:
+        accepting = [i for i, x in enumerate(codes) if x // nB in acc_a and x % nB in acc_b]
+    prod = BuchiNfa._make(
+        len(codes), A.alphabet_size, letter_class, class_rows, map(get, start), accepting
+    )
+    return prod, codes
+
+
+def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
+    """Reachable product with a round-robin flag, for arbitrary operands.
+
+    Built by _product: the flag arms when leaving an accepting B state and
+    resets when leaving an accepting A state while armed, and accepting
+    product states are armed states over accepting A states.  An accepting
+    product state recurs exactly when both components visit their accepting
+    sets infinitely often, so the language is the intersection.  Only the
+    pairs reachable from the initial pairs are built, numbered in ascending
+    order of the code (flag * nA + p) * nB + q.
+    """
+    return _product(A, B, True)[0]
 
 
 def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
@@ -733,21 +756,20 @@ def _member_vector(A: BuchiNfa, sigma: UpWord) -> bool:
 def match_for_up(A: BuchiNfa, sigma: UpWord) -> Match | None:
     """A concrete accepting lasso of A over sigma's expansion, or None.
 
-    Runs the witness search on the product with the exact-word automaton
-    and projects the paths back to A.
+    Runs the witness search on intersection's reachable product with the
+    exact-word automaton, and projects the paths back to A through the
+    product's codes (flag * nA + p) * nB + q.
     """
     _check_word_alphabet(A, sigma)
-    if A.state_count == 0:
-        return None
     word_aut = exact_up_nfa(sigma, A.alphabet_size)
-    prod = intersection(A, word_aut)
+    prod, codes = _product(A, word_aut, True)
     m = find_match(prod)
     if m is None:
         return None
     nA, nB = A.state_count, word_aut.state_count
 
     def proj(path: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((node // nB) % nA for node in path)
+        return tuple(codes[node] // nB % nA for node in path)
 
     return Match(m.stem, m.loop, proj(m.stem_path), proj(m.loop_path))
 
@@ -936,50 +958,8 @@ def is_weak(A: BuchiNfa) -> bool:
     inside accepting states, so the Buchi and co-Buchi readings coincide.
     """
     n = A.state_count
-    succs = [sorted({q for rows in A._class_rows for q in rows[p]}) for p in range(n)]
-    comp = [-1] * n
-    low = [0] * n
-    num = [-1] * n
-    counter = 0
-    ncomp = 0
-    stack: list[int] = []
-    on_stack = [False] * n
-    for root in range(n):
-        if num[root] >= 0:
-            continue
-        # iterative Tarjan: (state, next child index)
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                num[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while i < len(succs[v]):
-                w = succs[v][i]
-                i += 1
-                if num[w] < 0:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+    adj = _adjacency(A, range(n))
+    comp, _ = _strongly_connected(range(n), adj.__getitem__)
     flags: dict[int, bool] = {}
     for s in range(n):
         f = s in A.accepting
@@ -1075,39 +1055,14 @@ def complement_weak(A: BuchiNfa, max_states: int = 30000) -> BuchiNfa:
 
 
 def product_weak(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
-    """Plain product with accepting = accepting x accepting.
+    """Reachable plain product with accepting = accepting x accepting.
 
-    Correct for weak operands: a weak run is accepting exactly when it is
-    eventually confined to accepting states, and confinement holds in the
-    product iff it holds in both parts.  The two-copy intersection stays
-    the general construction; this one keeps weak automata weak.
+    Built by _product without the flag.  Exact for weak operands: a weak
+    run is accepting exactly when it is eventually confined to accepting
+    states, and confinement holds in the product iff it holds in both
+    parts.  Unlike intersection it keeps weak automata weak.
     """
-    if A.alphabet_size != B.alphabet_size:
-        raise AlphabetMismatch(f"{A.alphabet_size} != {B.alphabet_size}")
-    n, m = A.state_count, B.state_count
-    pair_index: dict[tuple[int, int], int] = {}
-    letter_class = []
-    pairs = []
-    for a in range(A.alphabet_size):
-        key = (A._letter_class[a], B._letter_class[a])
-        c = pair_index.get(key)
-        if c is None:
-            c = len(pairs)
-            pair_index[key] = c
-            pairs.append(key)
-        letter_class.append(c)
-    rows_by_class = []
-    for ca, cb in pairs:
-        ra = A._class_rows[ca]
-        rb = B._class_rows[cb]
-        rows_by_class.append(tuple(
-            tuple(p2 * m + q2 for p2 in ra[p] for q2 in rb[q])
-            for p in range(n) for q in range(m)
-        ))
-    initial = [p * m + q for p in A.initial for q in B.initial]
-    accepting = [p * m + q for p in A.accepting for q in B.accepting]
-    return BuchiNfa._make(n * m, A.alphabet_size, letter_class,
-                          rows_by_class, initial, accepting)
+    return _product(A, B, False)[0]
 
 
 def _universal(alphabet_size: int) -> BuchiNfa:
@@ -1184,62 +1139,6 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
         new_rows,
         [dense[b] for b in initial],
         [dense[block_of[s]] for s in A.accepting],
-    )
-
-
-def _satisfiable_product(A: BuchiNfa, B: BuchiNfa) -> bool:
-    """Emptiness of the intersection without materializing it.
-
-    Same boolean as is_satisfiable(intersection(A, B)); explores only the
-    reachable flagged product.
-    """
-    if A.alphabet_size != B.alphabet_size:
-        raise AlphabetMismatch(
-            f"alphabets differ: {A.alphabet_size} vs {B.alphabet_size}"
-        )
-    if not A.initial or not B.initial:
-        return False
-    pair_classes: dict[tuple[int, int], int] = {}
-    pairs: list[tuple[int, int]] = []
-    for a in range(A.alphabet_size):
-        combo = (A._letter_class[a], B._letter_class[a])
-        if combo not in pair_classes:
-            pair_classes[combo] = len(pairs)
-            pairs.append(combo)
-    acc_a = A.accepting
-    acc_b = B.accepting
-
-    def succ(node):
-        flag, p, q = node
-        if flag and p in acc_a:
-            nf = 0
-        elif not flag and q in acc_b:
-            nf = 1
-        else:
-            nf = flag
-        out = []
-        for ca, cb in pairs:
-            for p2 in A._class_rows[ca][p]:
-                for q2 in B._class_rows[cb][q]:
-                    out.append((nf, p2, q2))
-        return out
-
-    start = [(0, p, q) for p in sorted(A.initial) for q in sorted(B.initial)]
-    seen = set(start)
-    order = list(start)
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        for nxt in succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-    adj = {node: tuple(sorted(set(succ(node)))) for node in order}
-    comp, has_cycle = _strongly_connected(order, lambda v: adj[v])
-    return any(
-        has_cycle[comp[node]] and node[0] == 1 and node[1] in acc_a
-        for node in order
     )
 
 

@@ -142,6 +142,14 @@ def realizable_colors(A: BuchiNfa, max_colors: int = DEFAULT_MAX_COLORS) -> list
     return _closure(A, max_colors)[0]
 
 
+def _check_dimensions(A: BuchiNfa, *colors: Color) -> None:
+    for c in colors:
+        if len(c.reach) != A.state_count:
+            raise DimensionMismatch(
+                f"color over {len(c.reach)} states, automaton has {A.state_count}"
+            )
+
+
 def _targets(first, step, c: int) -> list[int]:
     """Elements a tracker moves to on letter class c: from its start, then
     from each element in order."""
@@ -152,6 +160,7 @@ def color_nfa(A: BuchiNfa, c: Color, max_colors: int = DEFAULT_MAX_COLORS) -> Bu
     """Automaton accepting the finite-word tracking of color c, read as a
     Buchi automaton: state 0 is a start with no incoming transitions, state
     1 + i tracks the i-th realizable color, and the state of c accepts."""
+    _check_dimensions(A, c)
     colors, index, first, step = _closure(A, max_colors)
     class_rows = [
         tuple((1 + t,) for t in _targets(first, step, cls)) for cls in range(len(first))
@@ -192,6 +201,7 @@ def _kind_block(
 def kind_nfa(A: BuchiNfa, kind: Kind, max_colors: int = DEFAULT_MAX_COLORS) -> BuchiNfa:
     """Automaton accepting the words that factor as one block of color
     kind[0] followed by infinitely many blocks of color kind[1]."""
+    _check_dimensions(A, *kind)
     _, index, first, step = _closure(A, max_colors)
     v, w = kind
     return _kind_block(
@@ -207,10 +217,9 @@ def compatible(A: BuchiNfa, kind: Kind) -> bool:
     initial states, saturate under w steps, and look for a w cycle that
     passes through an accepting state.
     """
+    _check_dimensions(A, *kind)
     v, w = kind
     n = A.state_count
-    if len(v.reach) != n or len(w.reach) != n:
-        raise DimensionMismatch("kind colors do not match the automaton")
     start = 0
     for p in A.initial:
         start |= v.reach[p]

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import buchi
-from .buchi import BuchiNfa, Match
+from .buchi import BuchiNfa
 from .complement import DEFAULT_MAX_COLORS, complement
-from .semigroup import UpWord, up_at, up_equiv
+from .semigroup import UpWord, up_at
 
 
 class UnknownVariable(ValueError):

@@ -222,32 +222,56 @@ def format_semigroup(g: FiniteSemigroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _content_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
-
-
 def parse_semigroup(text: str) -> FiniteSemigroup:
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("empty semigroup description")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "semigroup":
-        raise ValueError("expected header 'semigroup N'")
+    """Read the format format_semigroup writes: a header 'semigroup N',
+    then N table rows of N integers each.  Blank lines and '#' comments are
+    ignored.  Every error names the 1-based line it is on; an associativity
+    violation names the row of its left factor a."""
+    size = None
+    rows: list[list[int]] = []
+    row_line: list[int] = []
+    number = 0
+
+    def fail(message: str) -> ValueError:
+        return ValueError(f"line {number}: {message}")
+
+    def integer(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise fail(f"expected an integer, found {tok!r}") from None
+
+    for number, raw in enumerate(text.splitlines(), 1):
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if size is None:
+            if len(toks) != 2 or toks[0] != "semigroup":
+                raise fail("expected header 'semigroup N'")
+            size = integer(toks[1])
+            if size < 1:
+                raise fail("semigroup needs at least one element")
+            continue
+        if len(rows) == size:
+            raise fail(f"more than {size} table rows")
+        if len(toks) != size:
+            raise fail(f"expected {size} table entries, found {len(toks)}")
+        row = [integer(tok) for tok in toks]
+        for value in row:
+            if not 0 <= value < size:
+                raise fail(f"table entry {value} out of range 0..{size - 1}")
+        rows.append(row)
+        row_line.append(number)
+    number += 1
+    if size is None:
+        raise fail("expected header 'semigroup N'")
+    if len(rows) < size:
+        raise fail(f"expected {size} table rows, got {len(rows)}")
     try:
-        size = int(head[1])
-    except ValueError:
-        raise ValueError("expected header 'semigroup N'") from None
-    rows = []
-    for line in lines[1:]:
-        rows.append([int(tok) for tok in line.split()])
-    if len(rows) != size:
-        raise ValueError(f"expected {size} table rows, got {len(rows)}")
-    return new_semigroup(size, rows)
+        return new_semigroup(size, rows)
+    except AssociativityViolation as err:
+        err.args = (f"line {row_line[err.triple[0]]}: {err}",)
+        raise
 
 
 def format_up_word(sigma: UpWord) -> str:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from oracles import (
     random_det_buchi,
     random_up_word,
     random_weak_buchi,
+    scc_index,
 )
 from s1sup import buchi
 from s1sup.buchi import (
@@ -436,6 +438,56 @@ def test_product_weak_is_intersection():
         )
 
 
+def reachable(A):
+    seen = set(A.initial)
+    work = list(seen)
+    while work:
+        p = work.pop()
+        for a in range(A.alphabet_size):
+            for q in A.successors(p, a):
+                if q not in seen:
+                    seen.add(q)
+                    work.append(q)
+    return seen
+
+
+def test_products_hold_only_reachable_states():
+    rng = random.Random(430)
+    for _ in range(300):
+        A = random_buchi(rng, 4, 2)
+        B = random_buchi(rng, 4, 2)
+        for P in (intersection(A, B), product_weak(A, B)):
+            assert reachable(P) == set(range(P.state_count))
+
+
+@pytest.mark.parametrize("build", [intersection, product_weak])
+def test_product_with_an_operand_without_initial_state_is_empty(build):
+    no_start = BuchiNfa(2, 2, [(0, 0, 1), (1, 1, 0)], [], [0, 1])
+    assert build(no_start, inf_ones()) == empty_nfa(2)
+    assert build(inf_ones(), no_start) == empty_nfa(2)
+
+
+def test_is_weak_is_scc_uniform_acceptance():
+    rng = random.Random(431)
+    seen = set()
+    for k in range(400):
+        make = random_weak_buchi if k % 2 else random_buchi
+        A = make(rng, 5, 2)
+        edges: dict[int, list[int]] = {}
+        for p, _, q in A.transitions:
+            edges.setdefault(p, []).append(q)
+        comp = scc_index(A.state_count, edges)
+        uniform = all(
+            (p in A.accepting) == (q in A.accepting)
+            for p in range(A.state_count)
+            for q in range(A.state_count)
+            if comp[p] == comp[q]
+        )
+        assert is_weak(A) == uniform
+        seen.add(uniform)
+    assert seen == {True, False}
+
+
 # -- language-preserving reductions -------------------------------------------
 
 
@@ -523,6 +575,24 @@ def test_parse_nfa_rejects_second_initial_or_accepting(text, message):
 def test_parse_nfa_errors_name_the_line(text, line):
     with pytest.raises(ValueError, match=f"^line {line}: "):
         parse_nfa(text)
+
+
+def test_letters_with_equal_rows_share_a_class():
+    A = BuchiNfa(3, 5, [(0, 1, 1), (0, 3, 1), (2, 4, 0), (2, 4, 0)], [0], [])
+    assert A._letter_class == (0, 1, 0, 1, 2)
+    assert A._class_rows == (((), (), ()), ((1,), (), ()), ((), (), (0,)))
+
+
+def test_header_alone_costs_little_memory():
+    # rows are built per letter class, never per letter and state
+    tracemalloc.start()
+    try:
+        A = parse_nfa("nfa 2000 1000\ninitial 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (A.state_count, A.alphabet_size, len(A._class_rows)) == (2000, 1000, 1)
+    assert peak < 20 * 2**20
 
 
 def test_dot_output_mentions_accepting_shape():

@@ -550,6 +550,12 @@ class TestErrors:
         code, _, err = run_cli(capsys, "corpus", sg, str(tmp_path / "out"))
         assert code == 2 and err.startswith("error:")
 
+    def test_semigroup_entry_not_an_integer(self, capsys, tmp_path):
+        sg = write(tmp_path, "bad.sg", "semigroup 2\n0 x\n1 1\n")
+        code, out, err = run_cli(capsys, "corpus", sg, str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 2: expected an integer, found 'x'")
+
 
 def test_console_script_installed(tmp_path):
     f = tmp_path / "f.s1s"

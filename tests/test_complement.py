@@ -272,6 +272,19 @@ def test_kind_nfa_unrealizable_color_accepts_nothing():
     assert checked > 20
 
 
+def test_colors_over_the_wrong_state_count_are_rejected():
+    A = inf_ones()
+    one_state = Color((1,), (0,))
+    two_state = gamma_letter(A, 0)
+    for kind in ((one_state, one_state), (one_state, two_state), (two_state, one_state)):
+        with pytest.raises(DimensionMismatch):
+            kind_nfa(A, kind)
+        with pytest.raises(DimensionMismatch):
+            compatible(A, kind)
+    with pytest.raises(DimensionMismatch):
+        color_nfa(A, one_state)
+
+
 def test_kind_soundness_on_up_probes():
     rng = random.Random(449)
     for _ in range(150):

@@ -266,6 +266,33 @@ def test_parse_semigroup_ignores_comments():
     assert g.table == LP.table
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: expected header"),
+        ("# only a comment\n\n", "line 3: expected header"),
+        ("group 2\n0 0\n1 1\n", "line 1: expected header"),
+        ("semigroup two\n", "line 1: expected an integer, found 'two'"),
+        ("semigroup 0\n", "line 1: semigroup needs at least one element"),
+        ("semigroup 2\n0 x\n1 1\n", "line 2: expected an integer, found 'x'"),
+        ("semigroup 2\n0 0 0\n1 1\n", "line 2: expected 2 table entries, found 3"),
+        ("semigroup 2\n0 0\n\n1 2\n", "line 4: table entry 2 out of range 0..1"),
+        ("semigroup 2\n0 0\n1 1\n0 0\n", "line 4: more than 2 table rows"),
+        ("semigroup 2\n0 0\n", "line 3: expected 2 table rows, got 1"),
+    ],
+)
+def test_parse_semigroup_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match="^" + message):
+        parse_semigroup(text)
+
+
+def test_parse_semigroup_associativity_error_names_the_row():
+    # (0.0).0 = 1.0 = 1 but 0.(0.0) = 0.1 = 0, so the left factor is row 0
+    with pytest.raises(AssociativityViolation, match="^line 3: ") as err:
+        parse_semigroup("semigroup 2\n# rows\n1 0\n1 0\n")
+    assert err.value.triple == (0, 0, 0)
+
+
 def test_up_word_format_round_trip():
     rng = random.Random(410)
     for _ in range(50):
