@@ -94,24 +94,22 @@ class BuchiNfa:
         self.initial = ini
         self.accepting = acc
         content_id: dict = {}
-        old_to_new: dict[int, int] = {}
         new_rows: list = []
         new_first: list[int] = []
-        new_class: list[int] = []
-        for a in range(alphabet_size):
-            oc = letter_class[a]
-            nid = old_to_new.get(oc)
-            if nid is None:
-                rows = class_rows[oc]
-                nid = content_id.get(rows)
-                if nid is None:
-                    nid = len(new_rows)
-                    content_id[rows] = nid
-                    new_rows.append(rows)
-                    new_first.append(a)
-                old_to_new[oc] = nid
-            new_class.append(nid)
-        self._letter_class = tuple(new_class)
+        # old classes in order of first use, then mapped to new ids; each
+        # class row is hashed once
+        old_to_new = dict.fromkeys(letter_class)
+        for oc in old_to_new:
+            rows = class_rows[oc]
+            nid = content_id.setdefault(rows, len(new_rows))
+            if nid == len(new_rows):
+                new_rows.append(rows)
+                new_first.append(letter_class.index(oc))
+            old_to_new[oc] = nid
+        if list(old_to_new) != list(old_to_new.values()):
+            letter_class = map(old_to_new.__getitem__, letter_class)
+        # tuple() hands back an input tuple itself
+        self._letter_class = tuple(letter_class)
         self._class_rows = tuple(new_rows)
         self._class_first_letter = tuple(new_first)
         self._transitions = None
@@ -1073,72 +1071,132 @@ def _universal(alphabet_size: int) -> BuchiNfa:
 _SIM_LIMIT = 1000
 
 
+def _direct_simulation(A: BuchiNfa) -> np.ndarray:
+    """Greatest direct simulation of A: sim[p, q] holds when q simulates p,
+    that is, q is accepting wherever p is and every successor of p on a
+    letter is simulated by some successor of q on the same letter.
+
+    Relations are n x n boolean matrices packed into rows of 64-bit words,
+    with an all-zero sentinel row n that stands for a missing successor.
+    Each round gathers successor rows for every letter class c at once,
+        can_c[q, p'] = OR of sim^T[q', p'] over the successors q' of q,
+        blocked[p, q] = OR over c of the OR of not can_c^T[p', q] over
+                        the successors p' of p on c,
+    and removes blocked from sim, until a round removes nothing.  A round
+    costs O(sum over classes of (edges_c + n) * n) bit operations: the
+    gathers touch one packed row per edge or sentinel, and the transposes
+    one bit per pair and class.
+    """
+    n = A.state_count
+    nclasses = len(A._class_rows)
+    nbytes = (n + 7) // 8
+    words = (nbytes + 7) // 8
+
+    def transpose_into(out, rows, k):
+        # out holds k blocks of n + 1 rows, rows k blocks of n rows; the
+        # last row of each out block is the sentinel and stays zero
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n).reshape(k, n, n)
+        out.view(np.uint8).reshape(k, n + 1, 8 * words)[:, :n, :nbytes] = np.packbits(
+            np.ascontiguousarray(bits.transpose(0, 2, 1)), axis=2
+        )
+
+    # successors of every (class, state) as one flat index with segment
+    # starts; a state without successors reads the sentinel row
+    rows = [r for cls_rows in A._class_rows for r in cls_rows]
+    widths = np.fromiter((len(r) or 1 for r in rows), dtype=np.int64, count=len(rows))
+    index = np.fromiter(
+        itertools.chain.from_iterable(r or (n,) for r in rows), dtype=np.int64
+    )
+    starts = np.cumsum(widths) - widths
+    shifted = index + np.repeat(
+        np.arange(nclasses) * (n + 1), widths.reshape(nclasses, n).sum(axis=1)
+    )
+
+    acc = np.zeros(n, dtype=bool)
+    acc[list(A.accepting)] = True
+    sim_rows = np.zeros((n, words), dtype=np.uint64)
+    sim_t = np.zeros((n + 1, words), dtype=np.uint64)
+    cannot = np.zeros((nclasses * (n + 1), words), dtype=np.uint64)
+    # acceptance first: an accepting p is simulated only by accepting q
+    sim_rows.view(np.uint8)[:, :nbytes] = np.packbits(~acc[:, None] | acc, axis=1)
+    sim_t.view(np.uint8)[:n, :nbytes] = np.packbits(acc[:, None] | ~acc, axis=1)
+    while True:
+        can = np.bitwise_or.reduceat(sim_t[index], starts, axis=0)
+        transpose_into(cannot, ~can, nclasses)
+        blocked = np.bitwise_or.reduceat(cannot[shifted], starts, axis=0)
+        blocked = np.bitwise_or.reduce(blocked.reshape(nclasses, n, words), axis=0)
+        removed = sim_rows & blocked
+        if not removed.any():
+            return np.unpackbits(sim_rows.view(np.uint8), axis=1, count=n).view(bool)
+        sim_rows ^= removed
+        transpose_into(sim_t, sim_rows, 1)
+
+
 def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     """Quotient and prune by direct simulation.
 
-    q simulates p when q is accepting wherever p is and every successor of
-    p is simulated by some successor of q on the same letter.  Merging
-    mutually similar states, dropping transitions into states dominated by
-    a sibling, and dropping dominated initial states all preserve the
-    language: any accepting run maps stepwise to one through the dominating
-    states, and direct simulation keeps acceptance at every step.  Automata
-    above _SIM_LIMIT states are returned unchanged (the fixpoint is a dense
-    n x n computation)."""
+    Merging mutually similar states, dropping transitions into states
+    dominated by a sibling, and dropping dominated initial states all
+    preserve the language: any accepting run maps stepwise to one through
+    the dominating states, and direct simulation keeps acceptance at every
+    step.  The simulation comes from _direct_simulation, whose refinement
+    rounds cost O(sum over classes of (edges_c + n) * n) bit operations.
+    Automata above _SIM_LIMIT states are returned unchanged: the relation
+    itself is n x n, and lifting the limit would change the automata the
+    translation produces, so it stays until one state budget replaces it.
+    """
     n = A.state_count
     if n <= 1 or n > _SIM_LIMIT:
         return A
-    acc = np.zeros(n, dtype=bool)
-    acc[list(A.accepting)] = True
-    sim = np.ones((n, n), dtype=bool)
-    sim[np.ix_(acc, ~acc)] = False
-    mats = []
-    for rows in A._class_rows:
-        t = np.zeros((n, n), dtype=np.float32)
-        for p in range(n):
-            if rows[p]:
-                t[p, list(rows[p])] = 1.0
-        mats.append(t)
-    while True:
-        cur = sim.astype(np.float32)
-        new = sim
-        for t in mats:
-            # can_match[p2, q] = some successor of q simulates p2
-            can_match = (cur @ t.T) > 0.5
-            blocked = (t @ (~can_match).astype(np.float32)) > 0.5
-            new = new & ~blocked
-        if (new == sim).all():
-            break
-        sim = new
-    eq = sim & sim.T
-    block_of = [int(np.flatnonzero(eq[p])[0]) for p in range(n)]
-    reps = sorted(set(block_of))
-    dense = {r: i for i, r in enumerate(reps)}
-    members: dict[int, list[int]] = {r: [] for r in reps}
-    for p in range(n):
-        members[block_of[p]].append(p)
+    sim = _direct_simulation(A)
+    # each state's block is named by its first equivalent state, and
+    # blocks are numbered in the order of those states
+    block = (sim & sim.T).argmax(axis=1).tolist()
+    number = {b: i for i, b in enumerate(dict.fromkeys(block))}
+    members: list[list[int]] = [[] for _ in number]
+    for p, b in enumerate(block):
+        members[number[b]].append(p)
+    # Python-int bitmasks over states, a block standing for its first
+    # state: above[p] holds the states that simulate p
+    nbytes = (n + 7) // 8
+    buf = np.packbits(sim, axis=1, bitorder="little").tobytes()
+    above = [
+        int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)
+    ]
+    bit = [1 << b for b in block]
 
-    def dominated(targets: set[int]) -> list[int]:
-        keep = []
-        for b in targets:
-            if not any(c != b and sim[b, c] for c in targets):
-                keep.append(b)
-        return sorted(keep)
+    def undominated(mask: int) -> tuple[int, ...]:
+        # the blocks in mask that no other block in mask simulates
+        out = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            if not above[b] & mask & ~low:
+                out.append(number[b])
+            rest ^= low
+        return tuple(out)
 
     new_rows = []
     for rows in A._class_rows:
         out_rows = []
-        for r in reps:
-            targets = {block_of[q] for p in members[r] for q in rows[p]}
-            out_rows.append(tuple(dense[b] for b in dominated(targets)))
+        for group in members:
+            mask = 0
+            for p in group:
+                for q in rows[p]:
+                    mask |= bit[q]
+            out_rows.append(undominated(mask))
         new_rows.append(tuple(out_rows))
-    initial = dominated({block_of[s] for s in A.initial})
+    initial_mask = 0
+    for s in A.initial:
+        initial_mask |= bit[s]
     return BuchiNfa._make(
-        len(reps),
+        len(number),
         A.alphabet_size,
         list(A._letter_class),
         new_rows,
-        [dense[b] for b in initial],
-        [dense[block_of[s]] for s in A.accepting],
+        undominated(initial_mask),
+        [number[block[s]] for s in A.accepting],
     )
 
 

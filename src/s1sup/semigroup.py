@@ -291,8 +291,20 @@ def parse_up_word(text: str) -> UpWord:
     if body.count("|") != 1:
         raise ValueError("UP word needs exactly one '|' between prefix and period")
     pre_s, per_s = body.split("|")
-    prefix = tuple(int(t) for t in pre_s.split())
-    period = tuple(int(t) for t in per_s.split())
+
+    def letters(part: str, where: str) -> tuple[int, ...]:
+        out = []
+        for tok in part.split():
+            try:
+                out.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"{where}: expected a letter (integer), found {tok!r}"
+                ) from None
+        return tuple(out)
+
+    prefix = letters(pre_s, "prefix")
+    period = letters(per_s, "period")
     if not prefix or not period:
         raise ValueError("prefix and period must both be nonempty")
     return UpWord(prefix, period)

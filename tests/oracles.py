@@ -148,6 +148,41 @@ def naive_lasso_exists(A: BuchiNfa, limit: int = 4) -> bool:
     return False
 
 
+def naive_direct_simulation(A: BuchiNfa) -> set[tuple[int, int]]:
+    """Greatest direct simulation as the set of pairs (p, q), q simulating
+    p, straight from the definition.
+
+    Start from every pair that respects acceptance (q is accepting when p
+    is) and drop a pair while some transition (p, a, p2) has no transition
+    (q, a, q2) with (p2, q2) still in the set.  Letters are read one by
+    one from the transition list, never through letter classes.
+    """
+    succ: dict[tuple[int, int], set[int]] = {}
+    for p, a, q in A.transitions:
+        succ.setdefault((p, a), set()).add(q)
+    n = A.state_count
+    rel = {
+        (p, q)
+        for p in range(n)
+        for q in range(n)
+        if p not in A.accepting or q in A.accepting
+    }
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            for a in range(A.alphabet_size):
+                theirs = succ.get((q, a), set())
+                if any(
+                    all((p2, q2) not in rel for q2 in theirs)
+                    for p2 in succ.get((p, a), ())
+                ):
+                    rel.discard((p, q))
+                    changed = True
+                    break
+    return rel
+
+
 # ------------------------------------------------------- kind factorization
 
 

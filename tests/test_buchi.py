@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from oracles import (
+    naive_direct_simulation,
     naive_lasso_exists,
     naive_membership_up,
     random_buchi,
@@ -507,6 +508,105 @@ def test_reductions_preserve_language():
             assert naive_membership_up(R, sigma) == naive_membership_up(
                 A, sigma
             ), reduce_fn.__name__
+    rng = random.Random(432)
+    for _ in range(150):
+        A = random_buchi(rng, 10, 2, density=0.2)
+        for reduce_fn in (
+            buchi._trim,
+            buchi._bisim_quotient,
+            buchi._bisim_quotient_bw,
+            buchi._sim_reduce,
+        ):
+            R = reduce_fn(A)
+            assert R.state_count <= A.state_count
+            sigma = random_up_word(rng, 2)
+            assert naive_membership_up(R, sigma) == naive_membership_up(
+                A, sigma
+            ), reduce_fn.__name__
+
+
+def _random_simulation_case(rng):
+    """Up to 8 states and 1-3 letters; sometimes a letter copies another
+    letter's transitions (a shared class), and the density ranges from
+    sparse (states without successors) to dense (nondeterministic rows)."""
+    alphabet = rng.randint(1, 3)
+    A = random_buchi(rng, 8, alphabet, density=rng.choice((0.1, 0.25, 0.45)))
+    if alphabet > 1 and rng.random() < 0.3:
+        src, dst = rng.sample(range(alphabet), 2)
+        kept = [(p, a, q) for p, a, q in A.transitions if a != dst]
+        copied = [(p, dst, q) for p, a, q in A.transitions if a == src]
+        A = BuchiNfa(A.state_count, alphabet, kept + copied, A.initial, A.accepting)
+    return A
+
+
+def _simulation_pairs(A):
+    sim = buchi._direct_simulation(A)
+    assert sim.shape == (A.state_count, A.state_count)
+    return {(int(p), int(q)) for p, q in zip(*sim.nonzero())}
+
+
+def test_direct_simulation_matches_naive_oracle():
+    rng = random.Random(433)
+    shared = stuck = nondeterministic = 0
+    for _ in range(400):
+        A = _random_simulation_case(rng)
+        assert _simulation_pairs(A) == naive_direct_simulation(A), format_nfa(A)
+        rows = [row for cls in A._class_rows for row in cls]
+        shared += len(A._class_rows) < A.alphabet_size
+        stuck += any(not row for row in rows)
+        nondeterministic += any(len(row) > 1 for row in rows)
+    assert min(shared, stuck, nondeterministic) >= 20
+    # no letters at all, and letters without transitions
+    for alphabet in (0, 2):
+        A = BuchiNfa(3, alphabet, [], [0, 1], [1])
+        assert _simulation_pairs(A) == naive_direct_simulation(A)
+
+
+def test_direct_simulation_matches_naive_oracle_past_one_word():
+    # over 64 states a packed row spans several words; copies of a few
+    # small automata, plus some stray transitions, keep many pairs similar
+    rng = random.Random(434)
+    for size in (65, 100, 130):
+        parts = [random_buchi(rng, 5, 2, density=0.3) for _ in range(3)]
+        trips, acc, n = [], [], 0
+        while n < size:
+            B = rng.choice(parts)
+            trips += [(p + n, a, q + n) for p, a, q in B.transitions]
+            acc += [s + n for s in B.accepting]
+            n += B.state_count
+        trips += [(rng.randrange(n), rng.randrange(2), rng.randrange(n)) for _ in range(5)]
+        A = BuchiNfa(n, 2, trips, [0], acc)
+        expected = naive_direct_simulation(A)
+        assert len(expected) > 10 * n
+        assert _simulation_pairs(A) == expected
+
+
+def test_sim_reduce_leaves_automata_over_the_limit_unchanged():
+    n = buchi._SIM_LIMIT + 1
+    chain = BuchiNfa(n, 1, [(p, 0, p + 1) for p in range(n - 1)], [0], [n - 1])
+    assert buchi._sim_reduce(chain) is chain
+
+
+def test_sim_reduce_merges_mutually_similar_states():
+    # 1 and 2 are accepting a-loops, so each simulates the other
+    A = BuchiNfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 1), (2, 0, 2)], [0], [1, 2])
+    assert buchi._sim_reduce(A) == BuchiNfa(2, 1, [(0, 0, 1), (1, 0, 1)], [0], [1])
+
+
+def test_sim_reduce_drops_transitions_into_dominated_siblings():
+    # 2 simulates 1 (accepting, and it loops on a too) but not conversely,
+    # so 0 keeps only its a-transition into 2
+    A = BuchiNfa(
+        3, 2, [(0, 0, 1), (0, 0, 2), (1, 0, 1), (2, 0, 2), (2, 1, 2)], [0], [2]
+    )
+    assert buchi._sim_reduce(A) == BuchiNfa(
+        3, 2, [(0, 0, 2), (1, 0, 1), (2, 0, 2), (2, 1, 2)], [0], [2]
+    )
+
+
+def test_sim_reduce_drops_dominated_initial_states():
+    A = BuchiNfa(2, 2, [(0, 0, 0), (1, 0, 1), (1, 1, 1)], [0, 1], [1])
+    assert buchi._sim_reduce(A) == BuchiNfa(2, 2, [(0, 0, 0), (1, 0, 1), (1, 1, 1)], [1], [1])
 
 
 def test_bisim_quotient_unreachable_accepting_cycle():

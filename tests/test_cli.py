@@ -545,6 +545,12 @@ class TestErrors:
         code, _, err = run_cli(capsys, "member", a, "no bar here")
         assert code == 2 and err.startswith("error:")
 
+    def test_word_letter_not_an_integer(self, capsys, tmp_path):
+        a = write(tmp_path, "a.nfa", "nfa 1 2\ninitial 0\naccepting 0\ntrans 0 0 0\n")
+        code, out, err = run_cli(capsys, "member", a, "0 x | 1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: prefix: expected a letter (integer), found 'x'")
+
     def test_bad_semigroup_table(self, capsys, tmp_path):
         sg = write(tmp_path, "bad.sg", "semigroup 2\n1 0\n1 0\n")
         code, _, err = run_cli(capsys, "corpus", sg, str(tmp_path / "out"))

@@ -309,3 +309,17 @@ def test_up_word_text_forms():
         parse_up_word("0 1 2")
     with pytest.raises(ValueError):
         parse_up_word("| 2")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 x | 1", "prefix: expected a letter (integer), found 'x'"),
+        ("up 0 | 1 y2", "period: expected a letter (integer), found 'y2'"),
+        ("(0 | 1.5)", "period: expected a letter (integer), found '1.5'"),
+    ],
+)
+def test_parse_up_word_names_the_bad_token(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_up_word(text)
+    assert str(err.value) == message
