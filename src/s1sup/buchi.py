@@ -639,9 +639,6 @@ def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
 
 # -- membership of ultimately periodic words -----------------------------------
 
-_VECTOR_THRESHOLD = 40000
-
-
 def _check_word_alphabet(A: BuchiNfa, sigma: UpWord):
     for a in itertools.chain(sigma.prefix, sigma.period):
         if not (0 <= a < A.alphabet_size):
@@ -653,50 +650,19 @@ def _check_word_alphabet(A: BuchiNfa, sigma: UpWord):
 def membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
     """Does A accept the expansion of sigma?
 
-    Explores the product of A with sigma's position structure; a product
-    cycle through an accepting state decides acceptance, and every product
-    cycle already sits inside the periodic part.  Small products run a
-    direct search, large ones a vectorized fixpoint; both compute the same
-    boolean.
+    The states reachable after the prefix are stepped as one boolean
+    vector.  The period then spans a graph on (period position, state)
+    pairs, cut to the part reachable from that vector; every cycle of the
+    product with sigma's positions already lies there.  A accepts exactly
+    when some cycle of that graph passes an accepting pair, that is, when
+    the greatest fixpoint of Z = accepting pairs that reach Z in one or
+    more steps is nonempty.  Every step is a vectorized operation over the
+    class edge arrays.
     """
     _check_word_alphabet(A, sigma)
     if A.state_count == 0 or not A.initial or not A.accepting:
         return False
-    positions = len(sigma.prefix) + len(sigma.period)
-    if A.state_count * positions <= _VECTOR_THRESHOLD:
-        return _member_lazy(A, sigma)
     return _member_vector(A, sigma)
-
-
-def _member_lazy(A: BuchiNfa, sigma: UpWord) -> bool:
-    nx, ny = len(sigma.prefix), len(sigma.period)
-    total = nx + ny
-    n = A.state_count
-    letters = sigma.prefix + sigma.period
-
-    def node_succ(node: int) -> tuple[int, ...]:
-        pos, state = divmod(node, n)
-        cls = A._letter_class[letters[pos]]
-        npos = pos + 1 if pos + 1 < total else nx
-        base = npos * n
-        return tuple(base + q for q in A._class_rows[cls][state])
-
-    seen = set()
-    frontier = [0 * n + s for s in sorted(A.initial)]
-    seen.update(frontier)
-    order = list(frontier)
-    i = 0
-    while i < len(order):
-        node = order[i]
-        i += 1
-        for q in node_succ(node):
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-    adj = {node: node_succ(node) for node in order}
-    comp, has_cycle = _strongly_connected(order, lambda v: adj[v])
-    acc = A.accepting
-    return any(has_cycle[comp[node]] and (node % n) in acc for node in order)
 
 
 def _member_vector(A: BuchiNfa, sigma: UpWord) -> bool:
@@ -818,127 +784,6 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
         new_rows,
         [remap[s] for s in A.initial if s in keep],
         [remap[s] for s in A.accepting if s in keep],
-    )
-
-
-def _bisim_quotient(A: BuchiNfa) -> BuchiNfa:
-    """Quotient by the coarsest forward bisimulation that respects the
-    accepting flag.  Preserves the language exactly."""
-    n = A.state_count
-    if n == 0:
-        return A
-    seed_id: dict[int, int] = {}
-    block = [
-        seed_id.setdefault(1 if s in A.accepting else 0, len(seed_id))
-        for s in range(n)
-    ]
-    nblocks = len(seed_id)
-    while True:
-        sig_id: dict = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (
-                block[s],
-                tuple(
-                    tuple(sorted({block[q] for q in rows[s]}))
-                    for rows in A._class_rows
-                ),
-            )
-            sid = sig_id.get(sig)
-            if sid is None:
-                sid = len(sig_id)
-                sig_id[sig] = sid
-            new_block[s] = sid
-        if len(sig_id) == nblocks:
-            block = new_block
-            break
-        nblocks = len(sig_id)
-        block = new_block
-    rep = {}
-    for s in range(n):
-        rep.setdefault(block[s], s)
-    new_rows = []
-    for rows in A._class_rows:
-        new_rows.append(
-            tuple(
-                tuple(sorted({block[q] for q in rows[rep[b]]}))
-                for b in range(nblocks)
-            )
-        )
-    return BuchiNfa._make(
-        nblocks,
-        A.alphabet_size,
-        list(A._letter_class),
-        new_rows,
-        {block[s] for s in A.initial},
-        {block[s] for s in A.accepting},
-    )
-
-
-def _bisim_quotient_bw(A: BuchiNfa) -> BuchiNfa:
-    """Quotient by the coarsest backward bisimulation respecting the
-    initial and accepting flags.
-
-    States in one block admit exactly the same finite pasts, so every run
-    of the quotient stitches back into a concrete run over the same word;
-    blocks are acceptance uniform and only the infinite tail of a run
-    matters, hence the language is preserved exactly."""
-    n = A.state_count
-    if n == 0:
-        return A
-    preds = []
-    for rows in A._class_rows:
-        pr: list[list[int]] = [[] for _ in range(n)]
-        for p in range(n):
-            for q in rows[p]:
-                pr[q].append(p)
-        preds.append(pr)
-    seed_id: dict[int, int] = {}
-    block = [
-        seed_id.setdefault(
-            (2 if s in A.initial else 0) | (1 if s in A.accepting else 0),
-            len(seed_id),
-        )
-        for s in range(n)
-    ]
-    nblocks = len(seed_id)
-    while True:
-        sig_id: dict = {}
-        new_block = [0] * n
-        for s in range(n):
-            sig = (
-                block[s],
-                tuple(tuple(sorted({block[p] for p in pr[s]})) for pr in preds),
-            )
-            sid = sig_id.get(sig)
-            if sid is None:
-                sid = len(sig_id)
-                sig_id[sig] = sid
-            new_block[s] = sid
-        if len(sig_id) == nblocks:
-            block = new_block
-            break
-        nblocks = len(sig_id)
-        block = new_block
-    members: list[list[int]] = [[] for _ in range(nblocks)]
-    for s in range(n):
-        members[block[s]].append(s)
-    # blocks agree on pasts, not futures: quotient rows union over members
-    new_rows = []
-    for rows in A._class_rows:
-        new_rows.append(
-            tuple(
-                tuple(sorted({block[q] for s in members[b] for q in rows[s]}))
-                for b in range(nblocks)
-            )
-        )
-    return BuchiNfa._make(
-        nblocks,
-        A.alphabet_size,
-        list(A._letter_class),
-        new_rows,
-        {block[s] for s in A.initial},
-        {block[s] for s in A.accepting},
     )
 
 
@@ -1068,7 +913,7 @@ def _universal(alphabet_size: int) -> BuchiNfa:
     return BuchiNfa._make(1, alphabet_size, [0] * alphabet_size, [((0,),)], [0], [0])
 
 
-_SIM_LIMIT = 1000
+_SIM_LIMIT = 3000
 
 
 def _direct_simulation(A: BuchiNfa) -> np.ndarray:
@@ -1078,58 +923,57 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 
     Relations are n x n boolean matrices packed into rows of 64-bit words,
     with an all-zero sentinel row n that stands for a missing successor.
-    Each round gathers successor rows for every letter class c at once,
+    Each round visits the letter classes one at a time and gathers
+    successor rows of class c,
         can_c[q, p'] = OR of sim^T[q', p'] over the successors q' of q,
-        blocked[p, q] = OR over c of the OR of not can_c^T[p', q] over
-                        the successors p' of p on c,
+        blocked[p, q] |= OR of not can_c^T[p', q] over the successors p'
+                         of p on c,
     and removes blocked from sim, until a round removes nothing.  A round
     costs O(sum over classes of (edges_c + n) * n) bit operations: the
     gathers touch one packed row per edge or sentinel, and the transposes
-    one bit per pair and class.
+    one bit per pair and class.  The buffers are per class and reused, so
+    beyond the packed relations a call holds one class's gathers and one
+    n x n byte array for the transpose, whatever the number of classes.
     """
     n = A.state_count
-    nclasses = len(A._class_rows)
     nbytes = (n + 7) // 8
     words = (nbytes + 7) // 8
 
-    def transpose_into(out, rows, k):
-        # out holds k blocks of n + 1 rows, rows k blocks of n rows; the
-        # last row of each out block is the sentinel and stays zero
-        bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n).reshape(k, n, n)
-        out.view(np.uint8).reshape(k, n + 1, 8 * words)[:, :n, :nbytes] = np.packbits(
-            np.ascontiguousarray(bits.transpose(0, 2, 1)), axis=2
-        )
+    def transpose_into(out, rows):
+        # rows n x n packed; out's rows past n (the sentinel) stay zero
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n)
+        out.view(np.uint8)[:n, :nbytes] = np.packbits(np.ascontiguousarray(bits.T), axis=1)
 
-    # successors of every (class, state) as one flat index with segment
+    # successors of every state of a class as one flat index with segment
     # starts; a state without successors reads the sentinel row
-    rows = [r for cls_rows in A._class_rows for r in cls_rows]
-    widths = np.fromiter((len(r) or 1 for r in rows), dtype=np.int64, count=len(rows))
-    index = np.fromiter(
-        itertools.chain.from_iterable(r or (n,) for r in rows), dtype=np.int64
-    )
-    starts = np.cumsum(widths) - widths
-    shifted = index + np.repeat(
-        np.arange(nclasses) * (n + 1), widths.reshape(nclasses, n).sum(axis=1)
-    )
+    classes = []
+    for rows in A._class_rows:
+        widths = np.fromiter((len(r) or 1 for r in rows), dtype=np.int64, count=n)
+        index = np.fromiter(
+            itertools.chain.from_iterable(r or (n,) for r in rows), dtype=np.int64
+        )
+        classes.append((index, np.cumsum(widths) - widths))
 
     acc = np.zeros(n, dtype=bool)
     acc[list(A.accepting)] = True
     sim_rows = np.zeros((n, words), dtype=np.uint64)
     sim_t = np.zeros((n + 1, words), dtype=np.uint64)
-    cannot = np.zeros((nclasses * (n + 1), words), dtype=np.uint64)
+    cannot = np.zeros((n + 1, words), dtype=np.uint64)
+    blocked = np.zeros((n, words), dtype=np.uint64)
     # acceptance first: an accepting p is simulated only by accepting q
     sim_rows.view(np.uint8)[:, :nbytes] = np.packbits(~acc[:, None] | acc, axis=1)
     sim_t.view(np.uint8)[:n, :nbytes] = np.packbits(acc[:, None] | ~acc, axis=1)
     while True:
-        can = np.bitwise_or.reduceat(sim_t[index], starts, axis=0)
-        transpose_into(cannot, ~can, nclasses)
-        blocked = np.bitwise_or.reduceat(cannot[shifted], starts, axis=0)
-        blocked = np.bitwise_or.reduce(blocked.reshape(nclasses, n, words), axis=0)
+        blocked[:] = 0
+        for index, starts in classes:
+            can = np.bitwise_or.reduceat(sim_t[index], starts, axis=0)
+            transpose_into(cannot, ~can)
+            blocked |= np.bitwise_or.reduceat(cannot[index], starts, axis=0)
         removed = sim_rows & blocked
         if not removed.any():
             return np.unpackbits(sim_rows.view(np.uint8), axis=1, count=n).view(bool)
         sim_rows ^= removed
-        transpose_into(sim_t, sim_rows, 1)
+        transpose_into(sim_t, sim_rows)
 
 
 def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
@@ -1139,11 +983,17 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     dominated by a sibling, and dropping dominated initial states all
     preserve the language: any accepting run maps stepwise to one through
     the dominating states, and direct simulation keeps acceptance at every
-    step.  The simulation comes from _direct_simulation, whose refinement
-    rounds cost O(sum over classes of (edges_c + n) * n) bit operations.
-    Automata above _SIM_LIMIT states are returned unchanged: the relation
-    itself is n x n, and lifting the limit would change the automata the
-    translation produces, so it stays until one state budget replaces it.
+    step.  It also merges forward-bisimilar states of equal acceptance, as
+    they simulate each other, so it is the translation's only quotient.
+    The simulation comes from _direct_simulation, whose refinement rounds
+    cost O(sum over classes of (edges_c + n) * n) bit operations.
+
+    Automata above _SIM_LIMIT states are returned unchanged, since the
+    relation itself is n x n.  The limit of 3000 clears the largest
+    automaton the Z2 merge compile reduces, 1,938 states; at 1000 that
+    compile ends with 1,619 states instead of 11.  A bound on the packed
+    relation's bytes, part of one budget for every construction, is to
+    replace this state count.
     """
     n = A.state_count
     if n <= 1 or n > _SIM_LIMIT:

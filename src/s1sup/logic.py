@@ -286,8 +286,6 @@ def _compact(A: BuchiNfa) -> BuchiNfa:
     out = buchi._trim(A)
     while True:
         before = (out.state_count, out._class_rows, out.initial)
-        out = buchi._bisim_quotient(out)
-        out = buchi._bisim_quotient_bw(out)
         out = buchi._sim_reduce(out)
         if (out.state_count, out._class_rows, out.initial) == before:
             return out
@@ -330,8 +328,8 @@ def translate(
     alphabet.  The automaton accepts exactly the packed interpretations
     satisfying the formula, on ultimately periodic words.
 
-    Intermediate results are trimmed and quotiented by bisimulation, which
-    never changes the language but keeps negations affordable.  When stats
+    Intermediate results are trimmed and reduced by direct simulation,
+    which never changes the language but keeps negations affordable.  When stats
     is a list, one (formula, state count) entry is appended per node in
     postorder.
     """

@@ -13,7 +13,7 @@ from oracles import (
     random_weak_buchi,
     scc_index,
 )
-from s1sup import buchi
+from s1sup import buchi, logic
 from s1sup.buchi import (
     AlphabetMismatch,
     BuchiNfa,
@@ -288,14 +288,6 @@ def test_membership_matches_definition_and_naive():
         assert got == naive_membership_up(A, sigma)
 
 
-def test_membership_internal_routes_agree():
-    rng = random.Random(421)
-    for _ in range(300):
-        A = random_buchi(rng, 4, 2)
-        sigma = random_up_word(rng, 2)
-        assert buchi._member_lazy(A, sigma) == buchi._member_vector(A, sigma)
-
-
 # -- match extraction for members --------------------------------------------
 
 
@@ -496,12 +488,7 @@ def test_reductions_preserve_language():
     rng = random.Random(430)
     for _ in range(250):
         A = random_buchi(rng, 4, 2)
-        for reduce_fn in (
-            buchi._trim,
-            buchi._bisim_quotient,
-            buchi._bisim_quotient_bw,
-            buchi._sim_reduce,
-        ):
+        for reduce_fn in (buchi._trim, buchi._sim_reduce, logic._compact):
             R = reduce_fn(A)
             assert R.state_count <= A.state_count
             sigma = random_up_word(rng, 2)
@@ -511,12 +498,7 @@ def test_reductions_preserve_language():
     rng = random.Random(432)
     for _ in range(150):
         A = random_buchi(rng, 10, 2, density=0.2)
-        for reduce_fn in (
-            buchi._trim,
-            buchi._bisim_quotient,
-            buchi._bisim_quotient_bw,
-            buchi._sim_reduce,
-        ):
+        for reduce_fn in (buchi._trim, buchi._sim_reduce, logic._compact):
             R = reduce_fn(A)
             assert R.state_count <= A.state_count
             sigma = random_up_word(rng, 2)
@@ -609,13 +591,30 @@ def test_sim_reduce_drops_dominated_initial_states():
     assert buchi._sim_reduce(A) == BuchiNfa(2, 2, [(0, 0, 0), (1, 0, 1), (1, 1, 1)], [1], [1])
 
 
-def test_bisim_quotient_unreachable_accepting_cycle():
+def test_sim_reduce_unreachable_accepting_cycle():
     # all states accepting; 1 -> 2 dies, the 0-loop is unreachable from the
-    # initial state, so the language must stay empty after quotienting
+    # initial state, so the language must stay empty after reducing
     A = BuchiNfa(3, 1, [(0, 0, 0), (1, 0, 2)], [1], [0, 1, 2])
     assert not is_satisfiable(A)
-    for reduce_fn in (buchi._bisim_quotient, buchi._bisim_quotient_bw):
+    for reduce_fn in (buchi._sim_reduce, logic._compact):
         assert not is_satisfiable(reduce_fn(A))
+
+
+def test_direct_simulation_memory_does_not_grow_with_letter_classes():
+    # 1000 states over 32 letter classes: a transpose of every class at
+    # once would hold two byte arrays of 32 * n * n bytes, 64 MB in all
+    rng = random.Random(435)
+    n, letters = 1000, 32
+    trips = [(p, a, rng.randrange(n)) for p in range(n) for a in range(letters) for _ in range(2)]
+    A = BuchiNfa(n, letters, trips, [0], rng.sample(range(n), n // 2))
+    assert len(A._class_rows) == letters
+    tracemalloc.start()
+    try:
+        buchi._direct_simulation(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- text formats --------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Every module-level import of a package module is used by that module.
+"""Every module-level import of a package module is used by that module,
+and every module-level private name is read somewhere in the package.
 
-No linter runs on this repository, so this scan keeps dead imports from
-accumulating.  The package's __init__.py is skipped: its imports are the
-public re-exports.
+No linter runs on this repository, so these scans keep dead imports and
+dead private helpers from accumulating.  The import scan skips the
+package's __init__.py: its imports are the public re-exports.
 """
 
 import ast
@@ -27,6 +28,73 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
                 bound[alias.asname or alias.name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def unread_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level function, class or
+    constant whose name starts with one underscore and that no module
+    reads, not counting reads inside its own definition.  A read is a
+    loaded name, an attribute or a from-import."""
+
+    def reads(node: ast.AST) -> list[str]:
+        out = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.append(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                out.extend(alias.name for alias in n.names)
+        return out
+
+    total: dict[str, int] = {}
+    for tree in trees.values():
+        for name in reads(tree):
+            total[name] = total.get(name, 0) + 1
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = reads(node)
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and total.get(name, 0) == own.count(name):
+                    found.append((module, node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_unread_private_names():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_DEAD = 2\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "def _recursive(k):\n"
+            "    return _recursive(k - 1)\n"
+            "class _Kept:\n"
+            "    pass\n"
+            "def public():\n"
+            "    pass\n"
+        ),
+        "b": "from a import _helper\nimport a\na._Kept()\n",
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    assert unread_private_names(trees) == [("a", 2, "_DEAD"), ("a", 5, "_recursive")]
+
+
+def test_package_reads_its_private_names():
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unread_private_names(trees) == []
 
 
 def test_scan_finds_unused_imports():

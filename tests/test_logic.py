@@ -45,7 +45,8 @@ from s1sup.logic import (
     upword_to_interp,
 )
 from s1sup.buchi import membership_up
-from s1sup.semigroup import UpWord, up_at, up_equiv
+from s1sup.encodings import MERGE_FIRST_ORDER, merge_second_order, phi_merge
+from s1sup.semigroup import UpWord, new_semigroup, up_at, up_equiv
 
 XY = ("X", "Y")
 
@@ -391,3 +392,60 @@ def test_sat_full_witnesses_random():
             )
             assert models_full_up(filled, phi, FO, SO)
     assert sat_count > 10
+
+
+# -- reduction strength ----------------------------------------------------------
+
+# state counts of every node, in postorder, of the translated merge formula
+# of the trivial semigroup and of the first 20 formulas drawn as the
+# benchmark's cli-requests draws them (seed 107); a weaker reduction of the
+# intermediates changes them
+TRIV_NODE_STATES = (
+    "3 2 3 3 3 3 2 3 3 3 3 2 3 3 3 3 3 3 2 3 3 3 1 3 2 3 3 6 4 7 7 6 1 3 2 "
+    "3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 3 2 3 3 3 3 "
+    "3 8 1 1 3 2 3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 "
+    "4 4 6 4 11 22 12 5 5 4 1 4 10 12 9 3 2 3 3 3 1 3 2 3 3 6 4 7 7 6 1 3 2 "
+    "3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 3 2 3 3 3 3 "
+    "3 8 1 1 3 2 3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 "
+    "4 4 6 4 11 22 12 5 5 4 1 4 10 37 21 32 6 5 6 6 6 6 "
+)
+CLI_NODE_STATES = (
+    "3 2 3 3 3 3 2 3 3 3 1 1 1 3 5",
+    "3 2 3 3 3 3 2 3 3 3 1 3 3 3 3 2 3 3 3 3 7 3 3 7 0",
+    "3 2 3 3 3 3 2 3 3 3 1 2 5 4 3",
+    "3 2 3 3 3 3 3 2 3 3 3 3 4 4 5 0",
+    "3 2 3 3 3 3 2 3 3 3 1 2 1 1 2 5 4 3",
+    "3 2 3 3 3 1 3 3 2 2",
+    "3 2 3 3 3 3 2 3 3 3 3 3 5 0 0",
+    "3 2 3 3 3 1 3",
+    "3 2 3 3 3 3 2 3 3 3 3 7 3 0 0",
+    "3 2 3 3 3 1 1 3",
+    "3 2 3 3 3 3 2 3 3 3 3 3 3 2 3",
+    "3 2 3 3 3 3 2 3 3 3 3 3 4",
+    "3 2 3 3 3 1 3",
+    "3 2 3 3 3 3 2 3 3 3 3 3 3 4",
+    "3 2 3 3 3 3 0",
+    "3 2 3 3 3 1 2 3",
+    "3 2 3 3 3 1 1 1 1 3 2 3 3 3 3 2 3 3 3 3",
+    "3 2 3 3 3 3 2 3 3 3 3 2 3 4",
+    "3 2 3 3 3 3 2 3 3 3 1 1 3 2 2 3 3 3",
+    "3 2 3 3 3 3 2 3 3 3 1 2 5 4 2 3",
+)
+
+
+def _node_states(phi, variables):
+    stats = []
+    translate(phi, variables, stats=stats)
+    return " ".join(str(count) for _, count in stats)
+
+
+def test_translation_node_state_counts_are_pinned():
+    triv = new_semigroup(1, [[0]])
+    merge, variables = reduce_full(
+        phi_merge(triv), MERGE_FIRST_ORDER, merge_second_order(triv)
+    )
+    assert _node_states(merge, variables) == "".join(TRIV_NODE_STATES).strip()
+    rng = random.Random(107)
+    for expected in CLI_NODE_STATES:
+        phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
+        assert _node_states(*reduce_full(phi, FO, SO)) == expected, phi
