@@ -149,6 +149,8 @@ def cmd_complement(
         lines.append(f"colors {info.colors}")
         lines.append(f"kinds {info.kinds}")
         lines.append(f"incompatible {info.incompatible}")
+        lines.append(f"proper {info.proper}")
+        lines.append(f"blocks {info.blocks}")
     return Verdict(None, stats=tuple(lines))
 
 
@@ -242,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("aut", help="input automaton file")
     sp.add_argument("out", help="output automaton file")
     sp.add_argument(
-        "--stats", action="store_true", help="print color and kind counts"
+        "--stats", action="store_true", help="print color, kind and block counts"
     )
     budget(sp)
     sp.set_defaults(

@@ -3,7 +3,9 @@
 Everything here trades efficiency for obviousness: explicit graph walks,
 exhaustive enumeration with small analytic cutoffs, and generators for
 random instances.  Nothing imports the algorithms under test beyond plain
-data access (transition lists, table lookups).
+data access (transition lists, table lookups), except all_kinds_complement,
+which unions the kind automata of the library over every incompatible kind
+as a reference for the complement built over proper kinds only.
 """
 
 from __future__ import annotations
@@ -86,6 +88,26 @@ def naive_membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
                     vis.add(nxt)
                     sub.append(nxt)
     return False
+
+
+def all_kinds_complement(A: BuchiNfa) -> BuchiNfa:
+    """Disjoint union of kind_nfa(A, (v, w)) over every incompatible kind of
+    realizable colors, in closure order."""
+    from s1sup.complement import compatible, kind_nfa, realizable_colors
+
+    colors = realizable_colors(A)
+    transitions, initial, accepting = [], [], []
+    offset = 0
+    for v in colors:
+        for w in colors:
+            if compatible(A, (v, w)):
+                continue
+            K = kind_nfa(A, (v, w))
+            transitions += [(p + offset, a, q + offset) for p, a, q in K.transitions]
+            initial += [s + offset for s in K.initial]
+            accepting += [s + offset for s in K.accepting]
+            offset += K.state_count
+    return BuchiNfa(offset, A.alphabet_size, transitions, initial, accepting)
 
 
 def naive_nonempty(A: BuchiNfa) -> bool:

@@ -364,10 +364,12 @@ class TestComplement:
         code, out, err = run_cli(capsys, "complement", a, str(c), "--stats")
         assert (code, err) == (0, "")
         assert out.splitlines() == [
-            "states 18 alphabet 4",
+            "states 9 alphabet 4",
             "colors 2",
             "kinds 4",
             "incompatible 3",
+            "proper 3",
+            "blocks 2",
         ]
         parse_nfa(c.read_text())
 
@@ -376,7 +378,7 @@ class TestComplement:
         a = str(tmp_path / "a.nfa")
         run_cli(capsys, "compile", f, a)
         code, out, _ = run_cli(capsys, "complement", a, str(tmp_path / "c.nfa"))
-        assert code == 0 and out == "states 18 alphabet 4\n"
+        assert code == 0 and out == "states 9 alphabet 4\n"
 
     def test_exactly_one_side_accepts(self, capsys, tmp_path):
         f = write(tmp_path, "f.s1s", "X sub Y\n")

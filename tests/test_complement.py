@@ -1,8 +1,17 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import factorization_exists, naive_membership_up, random_buchi, random_up_word
+from oracles import (
+    all_kinds_complement,
+    factorization_exists,
+    naive_membership_up,
+    random_buchi,
+    random_up_word,
+)
 from s1sup.buchi import (
     BuchiNfa,
     find_match,
@@ -370,10 +379,85 @@ def test_complement_stats():
     assert isinstance(stats, ComplementStats)
     assert stats.kinds == stats.colors**2
     assert 0 < stats.incompatible <= stats.kinds
-    # every block contributes 2 + 2*colors states
-    assert C.state_count == stats.incompatible * (2 + 2 * stats.colors)
+    assert 0 < stats.blocks <= stats.proper <= stats.kinds
+    # the shared V tracker and every W block have 1 + colors states each
+    assert C.state_count == (1 + stats.colors) * (1 + stats.blocks)
 
 
 def test_complement_budget_propagates():
     with pytest.raises(BudgetExceeded):
         complement(inf_ones(), max_colors=1)
+
+
+@functools.cache
+def complement_law_sample() -> tuple[BuchiNfa, ...]:
+    """The 200 automata of test_01_complement_law, drawn from its seed in its
+    order (50 words after each)."""
+    rng = random.Random(101)
+    out = []
+    for _ in range(200):
+        out.append(random_buchi(rng, max_states=3, alphabet=2))
+        for _ in range(50):
+            random_up_word(rng, 2, max_pre=3, max_per=3)
+    return tuple(out)
+
+
+def test_complement_stats_count_proper_kinds_by_color_add():
+    rng = random.Random(454)
+    for _ in range(60):
+        A = random_buchi(rng, 3, 2)
+        cs = realizable_colors(A)
+        idempotent = [w for w in cs if color_add(w, w) == w]
+        proper = [(v, w) for w in idempotent for v in cs if color_add(v, w) == v]
+        blocks = {w for v, w in proper if not compatible(A, (v, w))}
+        _, stats = complement_with_stats(A)
+        assert (stats.proper, stats.blocks) == (len(proper), len(blocks))
+        incompatible = sum(not compatible(A, (v, w)) for v in cs for w in cs)
+        assert (stats.colors, stats.kinds, stats.incompatible) == (
+            len(cs),
+            len(cs) ** 2,
+            incompatible,
+        )
+
+
+def test_complement_agrees_with_all_kinds_oracle():
+    rng = random.Random(455)
+    for A in complement_law_sample():
+        C, O = complement(A), all_kinds_complement(A)
+        assert (find_match(C) is None) == (find_match(O) is None)
+        for _ in range(10):
+            sigma = random_up_word(rng, 2)
+            assert membership_up(C, sigma) == membership_up(O, sigma)
+
+
+def test_complement_size_of_heaviest_sample_automaton():
+    # all 4489 kinds of this automaton are incompatible, so a block per
+    # incompatible kind would take 610,504 states
+    C, stats = complement_with_stats(complement_law_sample()[189])
+    assert stats.colors == 67
+    assert C.state_count <= 5000
+
+
+@st.composite
+def small_buchi(draw):
+    n = draw(st.integers(1, 3))
+    alphabet = draw(st.integers(1, 2))
+    states = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.tuples(states, st.integers(0, alphabet - 1), states)))
+    initial = draw(st.lists(states, min_size=1))
+    accepting = draw(st.lists(states))
+    return BuchiNfa(n, alphabet, transitions, initial, accepting)
+
+
+@st.composite
+def automaton_and_word(draw):
+    A = draw(small_buchi())
+    letters = st.lists(st.integers(0, A.alphabet_size - 1), min_size=1, max_size=4)
+    return A, UpWord(tuple(draw(letters)), tuple(draw(letters)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(automaton_and_word())
+def test_complement_exactly_one_accepts_property(case):
+    A, sigma = case
+    assert naive_membership_up(A, sigma) != membership_up(complement(A), sigma)
