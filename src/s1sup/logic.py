@@ -255,30 +255,32 @@ def upword_to_interp(sigma: UpWord, variables: Sequence[str]) -> UpInterpretatio
 
 
 def atom_incl_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
-    """One looping state that refuses letters putting left outside right."""
+    """One looping state that refuses letters putting left outside right.
+
+    Built from its two letter classes, never from transitions per letter:
+    class 1 holds the refused letters and has no transitions."""
     alpha = SetAlphabet(tuple(variables))
     bl, br = alpha.bit(left), alpha.bit(right)
-    transitions = [
-        (0, a, 0) for a in range(alpha.size) if not (a & bl and not a & br)
-    ]
-    return BuchiNfa(1, alpha.size, transitions, [0], [0])
+    letter_class = [int(a & bl != 0 and not a & br) for a in range(alpha.size)]
+    return BuchiNfa._make(1, alpha.size, letter_class, [((0,),), ((),)], [0], [0])
 
 
 def atom_less_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
     """Three states: wait for a left position, then wait for a strictly
-    later right position, then loop."""
+    later right position, then loop.
+
+    Built from its four letter classes, one per value of the left and right
+    bits: the left bit adds 0 -> 1, the right bit adds 1 -> 2."""
     alpha = SetAlphabet(tuple(variables))
     bl, br = alpha.bit(left), alpha.bit(right)
-    transitions = []
-    for a in range(alpha.size):
-        transitions.append((0, a, 0))
-        transitions.append((1, a, 1))
-        transitions.append((2, a, 2))
-        if a & bl:
-            transitions.append((0, a, 1))
-        if a & br:
-            transitions.append((1, a, 2))
-    return BuchiNfa(3, alpha.size, transitions, [0], [2])
+    letter_class = [(a & bl != 0) | (a & br != 0) << 1 for a in range(alpha.size)]
+    class_rows = [
+        ((0,), (1,), (2,)),
+        ((0, 1), (1,), (2,)),
+        ((0,), (1, 2), (2,)),
+        ((0, 1), (1, 2), (2,)),
+    ]
+    return BuchiNfa._make(3, alpha.size, letter_class, class_rows, [0], [2])
 
 
 def _compact(A: BuchiNfa) -> BuchiNfa:
@@ -318,6 +320,19 @@ def _conjoin(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     return _compact(buchi.intersection(A, B))
 
 
+def _parts(node: MinFormula) -> tuple[tuple[str, ...], tuple[MinFormula, ...]]:
+    """The variable names and the subformulas of one node."""
+    if isinstance(node, (Less, Incl)):
+        return (node.left, node.right), ()
+    if isinstance(node, And):
+        return (), (node.left, node.right)
+    if isinstance(node, Not):
+        return (), (node.sub,)
+    if isinstance(node, Ex2):
+        return (node.var,), (node.sub,)
+    raise TypeError(f"not a minimal formula: {node!r}")
+
+
 def translate(
     phi: MinFormula,
     variables: Sequence[str],
@@ -329,30 +344,84 @@ def translate(
     satisfying the formula, on ultimately periodic words.
 
     Intermediate results are trimmed and reduced by direct simulation,
-    which never changes the language but keeps negations affordable.  When stats
-    is a list, one (formula, state count) entry is appended per node in
-    postorder.
+    which never changes the language but keeps negations affordable.
+
+    Each distinct subformula is compiled once.  A first walk numbers the
+    nodes in postorder by a structural key (kind, names, child numbers),
+    never by hashing the dataclasses, whose hash recurses over the whole
+    subtree.  The compile walk then skips the subtree of every node it
+    has compiled before, and holds each result only until its last use.
+    Both walks use explicit stacks, so depth costs no recursion.  When
+    stats is a list, one (formula, state count) entry is appended per
+    node occurrence in postorder; a repeated subtree replays the entries
+    of its first occurrence.
     """
     alpha = SetAlphabet(tuple(variables))
+    # the number of each visited node object (by id, as every node stays
+    # alive inside phi), the number of each key, and per number its first
+    # node and child numbers
+    number: dict[int, int] = {}
+    keys: dict[tuple, int] = {}
+    first: list[tuple[MinFormula, tuple[int, ...]]] = []
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in number:
+            stack.pop()
+            continue
+        names, subs = _parts(node)
+        todo = [sub for sub in reversed(subs) if id(sub) not in number]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        kids = tuple(number[id(sub)] for sub in subs)
+        key = (type(node), names, kids)
+        if key not in keys:
+            keys[key] = len(first)
+            first.append((node, kids))
+        number[id(node)] = keys[key]
+    top = number[id(phi)]
 
-    def go(node: MinFormula) -> BuchiNfa:
+    # the compile walk reaches a number once per place it has among the
+    # children of distinct nodes, and uses its result there
+    uses = [0] * len(first)
+    for _, kids in first:
+        for k in kids:
+            uses[k] += 1
+    lines = [] if stats is None else stats
+    done: dict[int, BuchiNfa] = {}
+    replay: dict[int, tuple[int, int]] = {}
+    walk: list[tuple[int, int | None]] = [(top, None)]
+    while walk:
+        i, begin = walk.pop()
+        if begin is None:
+            if i in done:
+                lines.extend(lines[slice(*replay[i])])
+            else:
+                walk.append((i, len(lines)))
+                walk += [(k, None) for k in reversed(first[i][1])]
+            continue
+        node, kids = first[i]
+        args = [done[k] for k in kids]
+        for k in kids:
+            uses[k] -= 1
+            if not uses[k]:
+                del done[k]
         if isinstance(node, Incl):
             out = atom_incl_nfa(variables, node.left, node.right)
         elif isinstance(node, Less):
             out = atom_less_nfa(variables, node.left, node.right)
         elif isinstance(node, And):
-            out = _conjoin(go(node.left), go(node.right))
+            out = _conjoin(*args)
         elif isinstance(node, Not):
-            out = _negate(go(node.sub), max_colors)
-        elif isinstance(node, Ex2):
-            out = _compact(buchi.ex_project(go(node.sub), alpha.flip_pairs(node.var)))
+            out = _negate(args[0], max_colors)
         else:
-            raise TypeError(f"not a minimal formula: {node!r}")
-        if stats is not None:
-            stats.append((node, out.state_count))
-        return out
-
-    return go(phi)
+            out = _compact(buchi.ex_project(args[0], alpha.flip_pairs(node.var)))
+        done[i] = out
+        lines.append((node, out.state_count))
+        replay[i] = (begin, len(lines))
+    return done[top]
 
 
 def models_up(

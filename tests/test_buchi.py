@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -548,7 +549,7 @@ def test_direct_simulation_matches_naive_oracle_past_one_word():
     # over 64 states a packed row spans several words; copies of a few
     # small automata, plus some stray transitions, keep many pairs similar
     rng = random.Random(434)
-    for size in (65, 100, 130):
+    for size in (65, 100, 130, buchi._BLOCK_TRANSPOSE_STATES + 30):
         parts = [random_buchi(rng, 5, 2, density=0.3) for _ in range(3)]
         trips, acc, n = [], [], 0
         while n < size:
@@ -561,6 +562,30 @@ def test_direct_simulation_matches_naive_oracle_past_one_word():
         expected = naive_direct_simulation(A)
         assert len(expected) > 10 * n
         assert _simulation_pairs(A) == expected
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000])
+@pytest.mark.parametrize("route", [buchi._byte_transposer, buchi._block_transposer])
+def test_transpose_of_packed_bits(route, n):
+    # rows as _direct_simulation keeps them: packed bits in 64-bit words,
+    # with ones past column n (as in a negated row); out has a sentinel
+    # row n, which must stay as it is, as must the bytes past each row
+    rng = np.random.default_rng(n)
+    nbytes = (n + 7) // 8
+    words = (nbytes + 7) // 8
+    transpose = route(n)
+    out = np.full((n + 1, words), 0x5A5A5A5A5A5A5A5A, dtype=np.uint64)
+    for _ in range(2):  # the second call reuses the first call's buffers
+        rows = np.full((n, words), np.uint64(2**64 - 1))
+        rows.view(np.uint8)[:, :nbytes] = np.packbits(rng.random((n, n)) < 0.5, axis=1)
+        if n % 8:
+            rows.view(np.uint8)[:, nbytes - 1] |= (1 << 8 - n % 8) - 1
+        expected = np.unpackbits(rows.view(np.uint8), axis=1, count=n).T
+        transpose(out, rows)
+        # padding bits past column n included: they must read zero
+        assert (out.view(np.uint8)[:n, :nbytes] == np.packbits(expected, axis=1)).all()
+        assert (out[n] == 0x5A5A5A5A5A5A5A5A).all()
+        assert (out.view(np.uint8)[:, nbytes:] == 0x5A).all()
 
 
 def test_sim_reduce_leaves_automata_over_the_limit_unchanged():

@@ -44,7 +44,8 @@ from s1sup.logic import (
     translate,
     upword_to_interp,
 )
-from s1sup.buchi import membership_up
+from s1sup import buchi, logic
+from s1sup.buchi import BuchiNfa, membership_up
 from s1sup.encodings import MERGE_FIRST_ORDER, merge_second_order, phi_merge
 from s1sup.semigroup import UpWord, new_semigroup, up_at, up_equiv
 
@@ -127,6 +128,37 @@ def test_atom_unknown_variable():
         atom_incl_nfa(XY, "Q", "Y")
 
 
+def _atom_from_transitions(variables, left, right, less):
+    # the construction from transition triples over every letter, as a
+    # reference for the atoms built from letter classes
+    k = len(variables)
+    bl, br = 1 << variables.index(left), 1 << variables.index(right)
+    if not less:
+        loops = [(0, a, 0) for a in range(1 << k) if not (a & bl and not a & br)]
+        return BuchiNfa(1, 1 << k, loops, [0], [0])
+    trips = []
+    for a in range(1 << k):
+        trips += [(0, a, 0), (1, a, 1), (2, a, 2)]
+        if a & bl:
+            trips.append((0, a, 1))
+        if a & br:
+            trips.append((1, a, 2))
+    return BuchiNfa(3, 1 << k, trips, [0], [2])
+
+
+def test_atoms_from_letter_classes_equal_transition_construction():
+    for k in range(1, 12):
+        names = tuple(f"V{i}" for i in range(k))
+        for left in names:
+            for right in names:
+                assert atom_incl_nfa(names, left, right) == _atom_from_transitions(
+                    names, left, right, less=False
+                ), (k, left, right)
+                assert atom_less_nfa(names, left, right) == _atom_from_transitions(
+                    names, left, right, less=True
+                ), (k, left, right)
+
+
 # -- translation ------------------------------------------------------------------
 
 
@@ -189,6 +221,28 @@ def test_automata_vs_direct_evaluator():
         phi = random_min_formula(rng, names, depth=rng.randint(0, 4))
         interp = random_min_interp(rng, names)
         assert models_up(interp, phi, names) == models_up_direct(interp, phi)
+
+
+def test_translate_answers_on_deep_formulas():
+    # far deeper than the interpreter's recursion limit; built by loops,
+    # and never hashed, compared or printed, as those recurse too
+    rng = random.Random(467)
+    words = [interp_to_upword(random_min_interp(rng, XY), XY) for _ in range(60)]
+
+    def verdicts(phi):
+        A = translate(phi, XY)
+        return [membership_up(A, w) for w in words]
+
+    atom = Less("X", "Y")
+    chain = atom
+    for _ in range(3000):
+        chain = Not(chain)
+    assert verdicts(chain) == verdicts(atom)
+    parts = [Incl("X", "Y"), Less("X", "Y"), Not(Less("Y", "X"))]
+    conj = parts[0]
+    for i in range(1, 1200):
+        conj = And(parts[i % 3], conj)
+    assert verdicts(conj) == verdicts(And(parts[0], And(parts[1], parts[2])))
 
 
 def test_direct_evaluator_rejects_quantifiers():
@@ -449,3 +503,29 @@ def test_translation_node_state_counts_are_pinned():
     for expected in CLI_NODE_STATES:
         phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
         assert _node_states(*reduce_full(phi, FO, SO)) == expected, phi
+
+
+def test_translate_compiles_each_distinct_subformula_once(monkeypatch):
+    triv = new_semigroup(1, [[0]])
+    merge, variables = reduce_full(
+        phi_merge(triv), MERGE_FIRST_ORDER, merge_second_order(triv)
+    )
+    distinct = set()
+    todo = [merge]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (And, Not, Ex2)):
+            distinct.add(node)
+            todo += [node.left, node.right] if isinstance(node, And) else [node.sub]
+    calls = []
+    for module, name in ((logic, "_conjoin"), (logic, "_negate"), (buchi, "ex_project")):
+        def counted(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    stats = []
+    translate(merge, variables, stats=stats)
+    assert len(calls) == len(distinct)
+    assert len(stats) == len(TRIV_NODE_STATES.split()) == 230
+    assert " ".join(str(count) for _, count in stats) == TRIV_NODE_STATES.strip()
