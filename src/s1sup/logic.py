@@ -284,7 +284,16 @@ def atom_less_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
 
 
 def _compact(A: BuchiNfa) -> BuchiNfa:
-    # each pass preserves the language; passes enable each other, so loop
+    """Trim and reduce by direct simulation until neither changes A.
+
+    Each pass preserves the language, and the passes enable each other,
+    so they loop.  buchi._sim_reduce takes one of two routes: Moore's
+    partition refinement for deterministic automata (the deterministic
+    complements and products of deterministic operands), where mutual
+    simulation is bisimilarity and nothing can be pruned, and the n x n
+    simulation relation otherwise.  Both give the same automaton on
+    deterministic input, so the route never changes a result.
+    """
     out = buchi._trim(A)
     while True:
         before = (out.state_count, out._class_rows, out.initial)
@@ -343,8 +352,12 @@ def translate(
     alphabet.  The automaton accepts exactly the packed interpretations
     satisfying the formula, on ultimately periodic words.
 
-    Intermediate results are trimmed and reduced by direct simulation,
-    which never changes the language but keeps negations affordable.
+    Intermediate results are trimmed and reduced by direct simulation
+    (_compact), which never changes the language but keeps negations
+    affordable.  Deterministic intermediates are reduced by partition
+    refinement, without the n x n relation, and the others through the
+    relation; on deterministic automata both give the bisimulation
+    quotient, so the result does not depend on the route.
 
     Each distinct subformula is compiled once.  A first walk numbers the
     nodes in postorder by a structural key (kind, names, child numbers),

@@ -4,8 +4,9 @@ Everything here trades efficiency for obviousness: explicit graph walks,
 exhaustive enumeration with small analytic cutoffs, and generators for
 random instances.  Nothing imports the algorithms under test beyond plain
 data access (transition lists, table lookups), except all_kinds_complement,
-which unions the kind automata of the library over every incompatible kind
-as a reference for the complement built over proper kinds only.
+which unions the kind automata of the library (its color closure and kind
+block builder) over every incompatible kind as a reference for the
+complement built over proper kinds only.
 """
 
 from __future__ import annotations
@@ -92,17 +93,20 @@ def naive_membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
 
 def all_kinds_complement(A: BuchiNfa) -> BuchiNfa:
     """Disjoint union of kind_nfa(A, (v, w)) over every incompatible kind of
-    realizable colors, in closure order."""
-    from s1sup.complement import compatible, kind_nfa, realizable_colors
+    realizable colors, in closure order.  The closure is computed once, and
+    each kind automaton is built from it as kind_nfa builds it."""
+    from s1sup.complement import DEFAULT_MAX_COLORS, _closure, _kind_block, compatible
 
-    colors = realizable_colors(A)
+    colors, index, first, step, _ = _closure(A, DEFAULT_MAX_COLORS)
     transitions, initial, accepting = [], [], []
     offset = 0
     for v in colors:
         for w in colors:
             if compatible(A, (v, w)):
                 continue
-            K = kind_nfa(A, (v, w))
+            K = _kind_block(
+                first, step, A._letter_class, A.alphabet_size, [(index[w], (index[v],))]
+            )
             transitions += [(p + offset, a, q + offset) for p, a, q in K.transitions]
             initial += [s + offset for s in K.initial]
             accepting += [s + offset for s in K.accepting]

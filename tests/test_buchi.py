@@ -625,6 +625,98 @@ def test_sim_reduce_unreachable_accepting_cycle():
         assert not is_satisfiable(reduce_fn(A))
 
 
+def test_trim_returns_its_input_when_it_cuts_nothing():
+    rng = random.Random(436)
+    kept = cut = 0
+    for _ in range(200):
+        A = random_buchi(rng, 6, 2, density=0.3)
+        T = buchi._trim(A)
+        assert buchi._trim(T) is T
+        if T.state_count == A.state_count:
+            assert T is A
+            kept += 1
+        else:
+            assert T != A
+            cut += 1
+    assert min(kept, cut) >= 20
+
+
+def _random_deterministic(rng, size, alphabet, complete):
+    """A deterministic automaton of about size states, made of copies of
+    one small automaton whose transitions lead into random copies, so that
+    many states are bisimilar; a few redirected transitions split some of
+    them.  Partial unless complete; sometimes without an initial state,
+    and sometimes a letter copies another (a shared class)."""
+    k = rng.randint(1, 6)
+    base = {
+        (p, a): rng.randrange(k)
+        for p in range(k)
+        for a in range(alphabet)
+        if complete or rng.random() < 0.7
+    }
+    copies = -(-size // k)
+    n = k * copies
+    succ = {
+        (j * k + p, a): rng.randrange(copies) * k + q
+        for j in range(copies)
+        for (p, a), q in base.items()
+    }
+    for key in rng.sample(sorted(succ), min(len(succ), rng.randint(0, 3))):
+        succ[key] = rng.randrange(n)
+    if alphabet > 1 and rng.random() < 0.3:
+        src, dst = rng.sample(range(alphabet), 2)
+        succ = {(p, a): q for (p, a), q in succ.items() if a != dst}
+        succ.update({(p, dst): q for (p, a), q in list(succ.items()) if a == src})
+    accepting_base = [p for p in range(k) if rng.random() < 0.5]
+    accepting = [j * k + p for j in range(copies) for p in accepting_base]
+    initial = [rng.randrange(n)] if rng.random() < 0.85 else []
+    trips = [(p, a, q) for (p, a), q in succ.items()]
+    return BuchiNfa(n, alphabet, trips, initial, accepting)
+
+
+def _quotient_by_mutual_simulation(A):
+    """A's quotient by mutual direct simulation, from the naive oracle,
+    with blocks numbered by first member and nothing pruned."""
+    rel = naive_direct_simulation(A)
+    n = A.state_count
+    block = [min(q for q in range(n) if (p, q) in rel and (q, p) in rel) for p in range(n)]
+    number = {b: i for i, b in enumerate(dict.fromkeys(block))}
+    of = [number[b] for b in block]
+    return BuchiNfa(
+        len(number),
+        A.alphabet_size,
+        {(of[p], a, of[q]) for p, a, q in A.transitions},
+        {of[s] for s in A.initial},
+        {of[s] for s in A.accepting},
+    )
+
+
+def test_sim_reduce_of_deterministic_automata_matches_naive_quotient(monkeypatch):
+    # the refinement route alone: _direct_simulation must not be reached
+    def unreachable(A):
+        raise AssertionError("deterministic input took the relation route")
+
+    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    rng = random.Random(437)
+    merged = partial = no_initial = shared = large = 0
+    cases = [(rng.randint(2, 12), rng.randint(1, 3)) for _ in range(300)]
+    cases += [(size, rng.randint(1, 3)) for size in (65, 100, 130) for _ in range(2)]
+    for size, alphabet in cases:
+        A = _random_deterministic(rng, size, alphabet, complete=rng.random() < 0.5)
+        assert is_deterministic(A)
+        R = buchi._sim_reduce(A)
+        if A.state_count > 1:
+            assert R == _quotient_by_mutual_simulation(A), format_nfa(A)
+        assert is_deterministic(R)
+        merged += R.state_count < A.state_count
+        partial += any(not row for rows in A._class_rows for row in rows)
+        no_initial += not A.initial
+        shared += len(A._class_rows) < A.alphabet_size
+        large += A.state_count > 64 and R.state_count < A.state_count
+    assert min(merged, partial, no_initial, shared) >= 20
+    assert large >= 4
+
+
 def test_direct_simulation_memory_does_not_grow_with_letter_classes():
     # 1000 states over 32 letter classes: a transpose of every class at
     # once would hold two byte arrays of 32 * n * n bytes, 64 MB in all

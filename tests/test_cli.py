@@ -1,5 +1,6 @@
 """End to end checks of the command line interface and the concrete syntax."""
 
+import argparse
 import random
 import subprocess
 import sys
@@ -563,6 +564,28 @@ class TestErrors:
         code, out, err = run_cli(capsys, "corpus", sg, str(tmp_path / "out"))
         assert code == 2 and out == ""
         assert err.startswith("error: line 2: expected an integer, found 'x'")
+
+
+def test_calls_share_one_parser(capsys, tmp_path, monkeypatch):
+    # built on first use and reused; a flag given to one call does not
+    # carry over to the next, nor does a failed call spoil the parser
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    f = write(tmp_path, "f.s1s", "X sub Y\n")
+    a = str(tmp_path / "a.nfa")
+    code, with_stats, _ = run_cli(capsys, "compile", f, a, "--stats")
+    assert code == 0
+    assert run_cli(capsys, "sat", str(tmp_path / "nope.s1s"))[0] == 2
+    code, plain, _ = run_cli(capsys, "compile", f, a)
+    assert code == 0
+    assert len(plain.splitlines()) < len(with_stats.splitlines())
+    assert len(parsers) == 3 and all(p is parsers[0] for p in parsers)
 
 
 def test_console_script_installed(tmp_path):

@@ -505,6 +505,31 @@ def test_translation_node_state_counts_are_pinned():
         assert _node_states(*reduce_full(phi, FO, SO)) == expected, phi
 
 
+def test_deterministic_reductions_in_compiles_match_relation_route(monkeypatch):
+    # every deterministic input _sim_reduce meets while compiling TRIV and
+    # the pinned formulas, reduced again with is_deterministic forced off
+    sim_reduce = buchi._sim_reduce
+    inputs = []
+
+    def recorded(A):
+        if buchi.is_deterministic(A):
+            inputs.append(A)
+        return sim_reduce(A)
+
+    monkeypatch.setattr(buchi, "_sim_reduce", recorded)
+    triv = new_semigroup(1, [[0]])
+    translate(*reduce_full(phi_merge(triv), MERGE_FIRST_ORDER, merge_second_order(triv)))
+    rng = random.Random(107)
+    for _ in CLI_NODE_STATES:
+        phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
+        translate(*reduce_full(phi, FO, SO))
+    monkeypatch.undo()
+    refined = [buchi._sim_reduce(A) for A in inputs]
+    monkeypatch.setattr(buchi, "is_deterministic", lambda A: False)
+    assert refined == [buchi._sim_reduce(A) for A in inputs]
+    assert sum(R.state_count < A.state_count for A, R in zip(inputs, refined)) >= 20
+
+
 def test_translate_compiles_each_distinct_subformula_once(monkeypatch):
     triv = new_semigroup(1, [[0]])
     merge, variables = reduce_full(
