@@ -120,37 +120,78 @@ class FoEx2:
 FullFormula = FoLess | FoIn | FoAnd | FoNot | FoEx1 | FoEx2
 
 
+_SORTS = {
+    "minimal": (Less, Incl, And, Not, Ex2),
+    "full": (FoLess, FoIn, FoAnd, FoNot, FoEx1, FoEx2),
+}
+
+
+def _parts(node, sort: str | None = None) -> tuple[tuple[str, ...], tuple]:
+    """The variable names and the subformulas of one node of either syntax.
+    A node outside sort ("minimal" or "full"), when given, is a TypeError."""
+    if sort is not None and not isinstance(node, _SORTS[sort]):
+        raise TypeError(f"not a {sort} formula node: {type(node).__name__}")
+    if isinstance(node, (Less, Incl, FoLess)):
+        return (node.left, node.right), ()
+    if isinstance(node, FoIn):
+        return (node.elem, node.container), ()
+    if isinstance(node, (And, FoAnd)):
+        return (), (node.left, node.right)
+    if isinstance(node, (Not, FoNot)):
+        return (), (node.sub,)
+    if isinstance(node, (Ex2, FoEx1, FoEx2)):
+        return (node.var,), (node.sub,)
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def _fold(phi, sort: str | None, combine):
+    """combine(node, names, values of its subformulas) over every node
+    occurrence, subformulas first, with explicit stacks, so depth costs no
+    recursion.  Nodes are checked against sort as in _parts."""
+    # order lists each node before its subtrees, the last subtree first;
+    # read backwards, each subtree ends with its root, which finds the
+    # values of its subformulas on top of values, in order
+    order = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        parts = _parts(node, sort)
+        order.append((node, parts))
+        stack += parts[1]
+    values: list = []
+    for node, (names, subs) in reversed(order):
+        cut = len(values) - len(subs)
+        args = values[cut:]
+        del values[cut:]
+        values.append(combine(node, names, args))
+    return values[0]
+
+
 def free_min(phi: MinFormula) -> frozenset[str]:
-    if isinstance(phi, (Less, Incl)):
-        return frozenset((phi.left, phi.right))
-    if isinstance(phi, And):
-        return free_min(phi.left) | free_min(phi.right)
-    if isinstance(phi, Not):
-        return free_min(phi.sub)
-    if isinstance(phi, Ex2):
-        return free_min(phi.sub) - {phi.var}
-    raise TypeError(f"not a minimal formula: {phi!r}")
+    def step(node, names, args):
+        if isinstance(node, Ex2):
+            return args[0] - {node.var}
+        return frozenset(names).union(*args)
+
+    return _fold(phi, "minimal", step)
 
 
 def free_full(phi: FullFormula) -> tuple[frozenset[str], frozenset[str]]:
     """Free variables, split into (first order, second order)."""
-    if isinstance(phi, FoLess):
-        return frozenset((phi.left, phi.right)), frozenset()
-    if isinstance(phi, FoIn):
-        return frozenset((phi.elem,)), frozenset((phi.container,))
-    if isinstance(phi, FoAnd):
-        l1, l2 = free_full(phi.left)
-        r1, r2 = free_full(phi.right)
-        return l1 | r1, l2 | r2
-    if isinstance(phi, FoNot):
-        return free_full(phi.sub)
-    if isinstance(phi, FoEx1):
-        s1, s2 = free_full(phi.sub)
-        return s1 - {phi.var}, s2
-    if isinstance(phi, FoEx2):
-        s1, s2 = free_full(phi.sub)
-        return s1, s2 - {phi.var}
-    raise TypeError(f"not a full formula: {phi!r}")
+
+    def step(node, names, args):
+        if isinstance(node, FoLess):
+            return frozenset(names), frozenset()
+        if isinstance(node, FoIn):
+            return frozenset(names[:1]), frozenset(names[1:])
+        fo, so = (frozenset().union(*sides) for sides in zip(*args))
+        if isinstance(node, FoEx1):
+            return fo - {node.var}, so
+        if isinstance(node, FoEx2):
+            return fo, so - {node.var}
+        return fo, so
+
+    return _fold(phi, "full", step)
 
 
 # -- interpretations --------------------------------------------------------------
@@ -329,19 +370,6 @@ def _conjoin(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     return _compact(buchi.intersection(A, B))
 
 
-def _parts(node: MinFormula) -> tuple[tuple[str, ...], tuple[MinFormula, ...]]:
-    """The variable names and the subformulas of one node."""
-    if isinstance(node, (Less, Incl)):
-        return (node.left, node.right), ()
-    if isinstance(node, And):
-        return (), (node.left, node.right)
-    if isinstance(node, Not):
-        return (), (node.sub,)
-    if isinstance(node, Ex2):
-        return (node.var,), (node.sub,)
-    raise TypeError(f"not a minimal formula: {node!r}")
-
-
 def translate(
     phi: MinFormula,
     variables: Sequence[str],
@@ -382,7 +410,7 @@ def translate(
         if id(node) in number:
             stack.pop()
             continue
-        names, subs = _parts(node)
+        names, subs = _parts(node, "minimal")
         todo = [sub for sub in reversed(subs) if id(sub) not in number]
         if todo:
             stack += todo
@@ -460,29 +488,26 @@ def models_up_direct(interp: UpInterpretation, phi: MinFormula) -> bool:
     missing = sorted(free_min(phi) - set(interp.sets))
     if missing:
         raise UnassignedVariable(missing)
-
-    def eval_node(node: MinFormula) -> bool:
-        if isinstance(node, (Less, Incl)):
-            x = interp.sets[node.left]
-            y = interp.sets[node.right]
-            bound = max(len(x.prefix), len(y.prefix)) + 2 * math.lcm(
-                len(x.period), len(y.period)
-            )
-            if isinstance(node, Incl):
-                return all(
-                    not (up_at(x, n) and not up_at(y, n)) for n in range(bound)
-                )
-            return any(
-                up_at(x, m) and any(up_at(y, n) for n in range(m + 1, bound))
-                for m in range(bound)
-            )
-        if isinstance(node, And):
-            return eval_node(node.left) and eval_node(node.right)
-        if isinstance(node, Not):
-            return not eval_node(node.sub)
+    if _fold(phi, None, lambda node, _, args: isinstance(node, Ex2) or any(args)):
         raise ValueError("direct evaluation handles quantifier free formulas only")
 
-    return eval_node(phi)
+    def value(node, names, args) -> bool:
+        if isinstance(node, And):
+            return args[0] and args[1]
+        if isinstance(node, Not):
+            return not args[0]
+        x, y = (interp.sets[name] for name in names)
+        bound = max(len(x.prefix), len(y.prefix)) + 2 * math.lcm(
+            len(x.period), len(y.period)
+        )
+        if isinstance(node, Incl):
+            return all(not (up_at(x, n) and not up_at(y, n)) for n in range(bound))
+        return any(
+            up_at(x, m) and any(up_at(y, n) for n in range(m + 1, bound))
+            for m in range(bound)
+        )
+
+    return _fold(phi, "minimal", value)
 
 
 def sat_min(
@@ -562,6 +587,10 @@ def _fresh_helper(taken: Iterable[str]) -> str:
     return name
 
 
+# the minimal node each full node but FoEx1 becomes, from the same fields
+_MINIMAL_OF = {FoLess: Less, FoIn: Incl, FoAnd: And, FoNot: Not, FoEx2: Ex2}
+
+
 def reduce_full(
     phi: FullFormula, first_order: Sequence[str], second_order: Sequence[str]
 ) -> tuple[MinFormula, tuple[str, ...]]:
@@ -573,22 +602,12 @@ def reduce_full(
     list, the declared variables plus one helper."""
     helper = _fresh_helper(list(first_order) + list(second_order))
 
-    def go(node: FullFormula) -> MinFormula:
-        if isinstance(node, FoLess):
-            return Less(node.left, node.right)
-        if isinstance(node, FoIn):
-            return Incl(node.elem, node.container)
-        if isinstance(node, FoAnd):
-            return And(go(node.left), go(node.right))
-        if isinstance(node, FoNot):
-            return Not(go(node.sub))
+    def step(node, names, args) -> MinFormula:
         if isinstance(node, FoEx1):
-            return Ex2(node.var, And(sing(node.var, helper), go(node.sub)))
-        if isinstance(node, FoEx2):
-            return Ex2(node.var, go(node.sub))
-        raise TypeError(f"not a full formula: {node!r}")
+            return Ex2(node.var, And(sing(node.var, helper), args[0]))
+        return _MINIMAL_OF[type(node)](*names, *args)
 
-    out = go(phi)
+    out = _fold(phi, "full", step)
     free_fo, _ = free_full(phi)
     for x in reversed([x for x in first_order if x in free_fo]):
         out = And(sing(x, helper), out)

@@ -15,7 +15,9 @@ all others second order (sets).  A formula that mentions any first order
 variable or ex1 parses into the full syntax, where only 'x < y' and
 'x in X' atoms are legal; otherwise it parses into the minimal syntax,
 where 'X < Y' and 'X sub Y' are the atoms.  The two families of atoms do
-not mix.
+not mix.  The parser picks the syntax from the tokens first, then builds
+the tree with an explicit stack in place of the grammar's recursion, so
+nesting depth is unlimited.
 
 Interpretations are given line by line:
 
@@ -45,38 +47,44 @@ from .logic import (
     MinFormula,
     Not,
     UpInterpretation,
+    _fold,
 )
 from .semigroup import UpWord
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at offset {position})")
+    """A formula or interpretation that does not parse.  The message starts
+    with the 1-based line and column of the fault in the text; position is
+    its offset there."""
+
+    def __init__(self, message: str, text: str, position: int):
+        line = text.count("\n", 0, position) + 1
+        column = position - text.rfind("\n", 0, position)
+        super().__init__(
+            f"line {line}, column {column}: {message} (at offset {position})"
+        )
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z_][A-Za-z0-9_]*)|([<&!().])|(\S))")
+_SKIP_RE = re.compile(r"(?:\s|#[^\n]*)*")
+_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)|[<&!().]")
 _KEYWORDS = {"ex1", "ex2", "sub", "in"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    """(kind, word, offset) per token, then an end token; whitespace and
+    comments are skipped in place, so offsets index the original text."""
     tokens = []
-    pos = 0
-    while pos < len(body):
-        m = _TOKEN_RE.match(body, pos)
+    pos = _SKIP_RE.match(text).end()
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
         if m is None:
-            break
-        if m.group(3):
-            raise ParseError(f"unexpected character {m.group(3)!r}", m.start(3))
-        if m.group(1):
-            word = m.group(1)
-            kind = word if word in _KEYWORDS else "ident"
-            tokens.append((kind, word, m.start(1)))
-        else:
-            tokens.append((m.group(2), m.group(2), m.start(2)))
-        pos = m.end()
-    tokens.append(("end", "", len(body)))
+            raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
+        word = m.group()
+        kind = "ident" if m.group(1) and word not in _KEYWORDS else word
+        tokens.append((kind, word, pos))
+        pos = _SKIP_RE.match(text, m.end()).end()
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -102,135 +110,108 @@ class ParsedFormula:
         return self.first_order + self.second_order
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-        self.fo: list[str] = []
-        self.so: list[str] = []
-        self.saw_ex1 = False
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.i += 1
-        return tok
-
-    def record(self, name: str):
-        pool = self.fo if _is_first_order(name) else self.so
-        if name not in pool:
-            pool.append(name)
-
-    def formula(self):
-        kind, word, pos = self.peek()
-        if kind in ("ex1", "ex2"):
-            self.take()
-            _, name, npos = self.take("ident")
-            if kind == "ex1" and not _is_first_order(name):
-                raise ParseError(f"ex1 needs a first order variable, not {name}", npos)
-            if kind == "ex2" and _is_first_order(name):
-                raise ParseError(f"ex2 needs a second order variable, not {name}", npos)
-            self.record(name)
-            if kind == "ex1":
-                self.saw_ex1 = True
-            self.take(".")
-            return (kind, name, self.formula())
-        return self.conjunct()
-
-    def conjunct(self):
-        left = self.unary()
-        if self.peek()[0] == "&":
-            self.take()
-            return ("and", left, self.formula())
-        return left
-
-    def unary(self):
-        kind, word, pos = self.peek()
-        if kind == "!":
-            self.take()
-            return ("not", self.unary())
-        if kind == "(":
-            self.take()
-            inner = self.formula()
-            self.take(")")
-            return inner
-        if kind == "ident":
-            self.take()
-            self.record(word)
-            op, opword, oppos = self.take()
-            if op not in ("<", "sub", "in"):
-                raise ParseError(
-                    f"expected an atom operator after {word}, found {opword!r}", oppos
-                )
-            _, right, rpos = self.take("ident")
-            self.record(right)
-            return ("atom", op, word, right, oppos)
-        raise ParseError(f"expected a formula, found {word!r}", pos)
+def _min_atom(text: str, op: str, left: str, right: str, pos: int) -> MinFormula:
+    if op == "<":
+        return Less(left, right)
+    if op == "sub":
+        return Incl(left, right)
+    raise ParseError("'in' atoms need a first order left side", text, pos)
 
 
-def _to_min(tree) -> MinFormula:
-    tag = tree[0]
-    if tag == "atom":
-        _, op, left, right, pos = tree
-        if op == "<":
-            return Less(left, right)
-        if op == "sub":
-            return Incl(left, right)
-        raise ParseError("'in' atoms need a first order left side", pos)
-    if tag == "and":
-        return And(_to_min(tree[1]), _to_min(tree[2]))
-    if tag == "not":
-        return Not(_to_min(tree[1]))
-    if tag == "ex2":
-        return Ex2(tree[1], _to_min(tree[2]))
-    raise AssertionError(tag)
-
-
-def _to_full(tree) -> FullFormula:
-    tag = tree[0]
-    if tag == "atom":
-        _, op, left, right, pos = tree
-        lf, rf = _is_first_order(left), _is_first_order(right)
-        if op == "<":
-            if lf and rf:
-                return FoLess(left, right)
-            if not lf and not rf:
-                raise ParseError(
-                    "second order ordering cannot mix with first order syntax", pos
-                )
-            raise ParseError("ordering needs two variables of the same sort", pos)
-        if op == "sub":
+def _full_atom(text: str, op: str, left: str, right: str, pos: int) -> FullFormula:
+    lf, rf = _is_first_order(left), _is_first_order(right)
+    if op == "<":
+        if lf and rf:
+            return FoLess(left, right)
+        if not lf and not rf:
             raise ParseError(
-                "inclusion atoms belong to the purely second order syntax", pos
+                "second order ordering cannot mix with first order syntax", text, pos
             )
-        if not lf or rf:
-            raise ParseError("'in' needs a position on the left and a set on the right", pos)
-        return FoIn(left, right)
-    if tag == "and":
-        return FoAnd(_to_full(tree[1]), _to_full(tree[2]))
-    if tag == "not":
-        return FoNot(_to_full(tree[1]))
-    if tag == "ex1":
-        return FoEx1(tree[1], _to_full(tree[2]))
-    if tag == "ex2":
-        return FoEx2(tree[1], _to_full(tree[2]))
-    raise AssertionError(tag)
+        raise ParseError("ordering needs two variables of the same sort", text, pos)
+    if op == "sub":
+        raise ParseError(
+            "inclusion atoms belong to the purely second order syntax", text, pos
+        )
+    if not lf or rf:
+        raise ParseError(
+            "'in' needs a position on the left and a set on the right", text, pos
+        )
+    return FoIn(left, right)
+
+
+# per syntax, the atom maker and the constructor of each pending marker
+_MIN_SYNTAX = (_min_atom, {"!": Not, "&": And, "ex2": Ex2})
+_FULL_SYNTAX = (_full_atom, {"!": FoNot, "&": FoAnd, "ex1": FoEx1, "ex2": FoEx2})
 
 
 def parse_formula(text: str) -> ParsedFormula:
-    parser = _Parser(_tokenize(text))
-    tree = parser.formula()
-    parser.take("end")
-    full = bool(parser.fo) or parser.saw_ex1
-    if full:
-        formula: MinFormula | FullFormula = _to_full(tree)
-    else:
-        formula = _to_min(tree)
-    return ParsedFormula(formula, tuple(parser.fo), tuple(parser.so))
+    """Parse into the full syntax when a first order identifier or ex1
+    occurs anywhere in text, into the minimal syntax otherwise.
+
+    The stack holds the pending markers: '!' and '(' as read, '&' with
+    its left conjunct, each quantifier with its variable.  A complete unary
+    takes the '!'s on top; unless '&' follows, it also ends every conjunct
+    and quantifier scope back to the innermost '(', which must then close."""
+    tokens = _tokenize(text)
+    names = dict.fromkeys(word for kind, word, _ in tokens if kind == "ident")
+    fo = tuple(name for name in names if _is_first_order(name))
+    so = tuple(name for name in names if not _is_first_order(name))
+    full = fo or any(kind == "ex1" for kind, _, _ in tokens)
+    atom, make = _FULL_SYNTAX if full else _MIN_SYNTAX
+    pending: list[tuple[str, object]] = []
+    at_formula = True  # quantifiers may start here, not after '!'
+    i = 0
+
+    def take(kind: str) -> tuple[str, str, int]:
+        nonlocal i
+        tok = tokens[i]
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", text, tok[2])
+        i += 1
+        return tok
+
+    while True:
+        kind, word, pos = tokens[i]
+        i += 1
+        if kind in ("ex1", "ex2") and at_formula:
+            _, name, npos = take("ident")
+            if (kind == "ex1") != _is_first_order(name):
+                order = "first" if kind == "ex1" else "second"
+                raise ParseError(
+                    f"{kind} needs a {order} order variable, not {name}", text, npos
+                )
+            take(".")
+            pending.append((kind, name))
+            continue
+        if kind in ("!", "("):
+            pending.append((kind, None))
+            at_formula = kind == "("
+            continue
+        if kind != "ident":
+            raise ParseError(f"expected a formula, found {word!r}", text, pos)
+        op, opword, oppos = tokens[i]
+        if op not in ("<", "sub", "in"):
+            raise ParseError(
+                f"expected an atom operator after {word}, found {opword!r}", text, oppos
+            )
+        i += 1
+        node = atom(text, op, word, take("ident")[1], oppos)
+        while True:
+            while pending and pending[-1][0] == "!":
+                node = make[pending.pop()[0]](node)
+            if tokens[i][0] == "&":
+                i += 1
+                pending.append(("&", node))
+                at_formula = True
+                break
+            while pending and pending[-1][0] != "(":
+                tag, arg = pending.pop()
+                node = make[tag](arg, node)
+            if not pending:
+                take("end")
+                return ParsedFormula(node, fo, so)
+            take(")")
+            pending.pop()
 
 
 # -- printing ---------------------------------------------------------------------
@@ -239,82 +220,79 @@ def parse_formula(text: str) -> ParsedFormula:
 def format_formula(phi: MinFormula | FullFormula) -> str:
     """Surface rendering; parses back to the same tree."""
 
-    def wrap_and_left(node) -> str:
-        # left side of & must not swallow the &: parenthesize quantifiers
-        # and conjunctions
-        if isinstance(node, (And, FoAnd, Ex2, FoEx1, FoEx2)):
-            return "(" + render(node) + ")"
-        return render(node)
-
-    def wrap_unary(node) -> str:
-        if isinstance(node, (Less, Incl, FoLess, FoIn, Not, FoNot)):
-            return render(node)
-        return "(" + render(node) + ")"
-
-    def render(node) -> str:
-        if isinstance(node, Less) or isinstance(node, FoLess):
-            return f"{node.left} < {node.right}"
+    def step(node, names, args) -> str:
+        if isinstance(node, (Less, FoLess)):
+            return f"{names[0]} < {names[1]}"
         if isinstance(node, Incl):
-            return f"{node.left} sub {node.right}"
+            return f"{names[0]} sub {names[1]}"
         if isinstance(node, FoIn):
-            return f"{node.elem} in {node.container}"
+            return f"{names[0]} in {names[1]}"
         if isinstance(node, (And, FoAnd)):
-            return f"{wrap_and_left(node.left)} & {render(node.right)}"
+            # the left side of & must not swallow the &: parenthesize
+            # quantifiers and conjunctions there
+            if isinstance(node.left, (And, FoAnd, Ex2, FoEx1, FoEx2)):
+                return f"({args[0]}) & {args[1]}"
+            return f"{args[0]} & {args[1]}"
         if isinstance(node, (Not, FoNot)):
-            return "!" + wrap_unary(node.sub)
-        if isinstance(node, Ex2) or isinstance(node, FoEx2):
-            return f"ex2 {node.var}. {render(node.sub)}"
-        if isinstance(node, FoEx1):
-            return f"ex1 {node.var}. {render(node.sub)}"
-        raise TypeError(f"not a formula: {node!r}")
+            if isinstance(node.sub, (Less, Incl, FoLess, FoIn, Not, FoNot)):
+                return "!" + args[0]
+            return f"!({args[0]})"
+        quantifier = "ex1" if isinstance(node, FoEx1) else "ex2"
+        return f"{quantifier} {names[0]}. {args[0]}"
 
-    return render(phi)
+    return _fold(phi, None, step)
 
 
 # -- interpretations ----------------------------------------------------------------
 
 
-def _parse_bits(part: str, position: int) -> tuple[int, ...]:
+_ASSIGN_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*?)\s*")
+
+
+def _parse_bits(part: str, text: str, position: int) -> tuple[int, ...]:
     bits = part.replace(" ", "").replace("\t", "")
     if not bits or any(ch not in "01" for ch in bits):
-        raise ParseError(f"expected a nonempty bit string, found {part.strip()!r}", position)
+        at = position + len(part) - len(part.lstrip())
+        raise ParseError(f"expected a nonempty bit string, found {part.strip()!r}", text, at)
     return tuple(int(ch) for ch in bits)
 
 
 def parse_interpretation(text: str) -> UpInterpretation:
     sets: dict[str, UpWord] = {}
     nums: dict[str, int] = {}
-    offset = 0
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)", line)
-            if m is None:
-                raise ParseError(f"expected 'name = value', found {line!r}", offset)
-            name, value = m.group(1), m.group(2).strip()
-            if name in sets or name in nums:
-                raise ParseError(f"variable {name} assigned twice", offset)
-            if "|" in value:
-                if _is_first_order(name):
-                    raise ParseError(
-                        f"position variable {name} cannot hold a set", offset
-                    )
-                pre, _, per = value.partition("|")
-                sets[name] = UpWord(
-                    _parse_bits(pre, offset), _parse_bits(per, offset)
-                )
-            else:
-                if not _is_first_order(name):
-                    raise ParseError(f"set variable {name} needs 'bits | bits'", offset)
-                try:
-                    nums[name] = int(value)
-                except ValueError:
-                    raise ParseError(
-                        f"expected a number for {name}, found {value!r}", offset
-                    ) from None
-                if nums[name] < 0:
-                    raise ParseError(f"positions are nonnegative, got {value}", offset)
-        offset += len(raw) + 1
+    end = 0
+    for raw in text.splitlines(keepends=True):
+        start, end = end, end + len(raw)
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        m = _ASSIGN_RE.fullmatch(line)
+        if m is None:
+            at = start + len(line) - len(line.lstrip())
+            raise ParseError(f"expected 'name = value', found {line.strip()!r}", text, at)
+        name, value = m.group(1), m.group(2)
+        at = start + m.start(2)
+        if name in sets or name in nums:
+            raise ParseError(f"variable {name} assigned twice", text, start + m.start(1))
+        if "|" in value:
+            if _is_first_order(name):
+                raise ParseError(f"position variable {name} cannot hold a set", text, at)
+            bar = value.index("|")
+            sets[name] = UpWord(
+                _parse_bits(value[:bar], text, at),
+                _parse_bits(value[bar + 1 :], text, at + bar + 1),
+            )
+            continue
+        if not _is_first_order(name):
+            raise ParseError(f"set variable {name} needs 'bits | bits'", text, at)
+        try:
+            nums[name] = int(value)
+        except ValueError:
+            raise ParseError(
+                f"expected a number for {name}, found {value!r}", text, at
+            ) from None
+        if nums[name] < 0:
+            raise ParseError(f"positions are nonnegative, got {value}", text, at)
     return UpInterpretation(sets=sets, nums=nums)
 
 

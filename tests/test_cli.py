@@ -6,10 +6,25 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s1sup.buchi import parse_nfa, membership_up
 from s1sup.encodings import phi_merge
-from s1sup.logic import And, Ex2, FoEx1, FoLess, Incl, Less, Not
+from s1sup.logic import (
+    And,
+    Ex2,
+    FoAnd,
+    FoEx1,
+    FoEx2,
+    FoIn,
+    FoLess,
+    FoNot,
+    Incl,
+    Less,
+    Not,
+    UpInterpretation,
+)
 from s1sup.semigroup import UpWord, new_semigroup, parse_up_word, up_equiv
 from s1sup.syntax import (
     ParseError,
@@ -113,6 +128,24 @@ class TestFormulaSyntax:
         except ParseError as err:
             assert err.position == 2
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("# a comment line\nX in Y", 2, 3),
+            ("ex2 Z.\n  (X sub Z) &\n  Z ! Y\n", 3, 5),
+            ("X sub Y # @ is no token here\n& Y @ X", 2, 5),
+            ("# one\n# two\nX < y & Y sub Z", 3, 3),
+            ("X sub Y &  # dangling\n", 2, 1),
+        ],
+    )
+    def test_error_names_line_and_column(self, text, line, column):
+        lines = text.split("\n")
+        offset = sum(len(s) + 1 for s in lines[: line - 1]) + column - 1
+        with pytest.raises(ParseError, match=rf"^line {line}, column {column}: ") as err:
+            parse_formula(text)
+        assert err.value.position == offset
+        assert str(err.value).endswith(f" (at offset {offset})")
+
     def test_comments_stripped(self):
         p = parse_formula("X sub Y  # anything goes here\n")
         assert p.formula == Incl("X", "Y")
@@ -139,6 +172,26 @@ class TestFormulaSyntax:
             phi = random_min_formula(rng, ("X", "Y", "Z"), rng.randint(0, 4), 2)
             assert parse_formula(format_formula(phi)).formula == phi
 
+    def test_deep_formulas_round_trip_as_text(self):
+        # far deeper than the interpreter's recursion limit; built by loops
+        # and compared as text, as dataclass equality recurses
+        phi = Less("X", "Y")
+        psi = FoIn("x", "X")
+        for i in range(3000):
+            phi = (
+                Not(phi), And(Incl("X", "Y"), phi), And(phi, Less("Y", "X")), Ex2("Z", phi)
+            )[i % 4]
+            psi = (
+                FoEx1("y", psi), FoAnd(psi, FoLess("x", "y")), FoNot(psi), FoEx2("Y", psi)
+            )[i % 4]
+        for chi in (phi, psi):
+            text = format_formula(chi)
+            assert format_formula(parse_formula(text).formula) == text
+        chain = Less("X", "Y")
+        for _ in range(3000):
+            chain = Not(chain)
+        assert format_formula(chain) == "!" * 3000 + "X < Y"
+
     def test_round_trip_random_full(self):
         rng = random.Random(412)
         for _ in range(300):
@@ -147,6 +200,53 @@ class TestFormulaSyntax:
             )
             parsed = parse_formula(format_formula(phi))
             assert parsed.formula == phi
+
+
+SET_NAMES = st.sampled_from(("X", "Y", "Set_2", "_h"))
+POSITION_NAMES = st.sampled_from(("x", "y", "p_1"))
+MIN_FORMULAS = st.recursive(
+    st.builds(Less, SET_NAMES, SET_NAMES) | st.builds(Incl, SET_NAMES, SET_NAMES),
+    lambda sub: st.builds(And, sub, sub)
+    | st.builds(Not, sub)
+    | st.builds(Ex2, SET_NAMES, sub),
+    max_leaves=12,
+)
+FULL_FORMULAS = st.recursive(
+    st.builds(FoLess, POSITION_NAMES, POSITION_NAMES)
+    | st.builds(FoIn, POSITION_NAMES, SET_NAMES),
+    lambda sub: st.builds(FoAnd, sub, sub)
+    | st.builds(FoNot, sub)
+    | st.builds(FoEx1, POSITION_NAMES, sub)
+    | st.builds(FoEx2, SET_NAMES, sub),
+    max_leaves=12,
+)
+BITS = st.lists(st.integers(0, 1), min_size=1, max_size=5).map(tuple)
+INTERPRETATIONS = st.builds(
+    UpInterpretation,
+    sets=st.dictionaries(SET_NAMES, st.builds(UpWord, BITS, BITS), max_size=4),
+    nums=st.dictionaries(POSITION_NAMES, st.integers(0, 40), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(MIN_FORMULAS, FULL_FORMULAS))
+def test_formula_round_trip_property(phi):
+    text = format_formula(phi)
+    parsed = parse_formula(text)
+    assert parsed.formula == phi
+    assert parsed.is_full == isinstance(phi, (FoLess, FoIn, FoAnd, FoNot, FoEx1, FoEx2))
+    assert format_formula(parsed.formula) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(INTERPRETATIONS)
+def test_interpretation_round_trip_property(interp):
+    text = format_interpretation(interp)
+    back = parse_interpretation(text)
+    assert back.nums == interp.nums
+    assert back.sets.keys() == interp.sets.keys()
+    assert all(up_equiv(back.sets[name], w) for name, w in interp.sets.items())
+    assert format_interpretation(back) == text
 
 
 # -- interpretation surface syntax --------------------------------------------------
@@ -182,6 +282,25 @@ class TestInterpretationSyntax:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_interpretation(text)
+
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("# header\nX = 1 | 0\nY = 1 0 2 | 0\n", 3, 5),
+            ("x = 3\n\n  x = 4  # again\n", 3, 3),
+            ("X = 1|0\r\nx = -1\r\n", 2, 5),
+            ("X = 1 |  |0\n", 1, 10),
+            ("# header\n\n   just words\n", 3, 4),
+            ("x = 3\nX = 0 |\tx1", 2, 9),
+        ],
+    )
+    def test_error_names_line_and_column(self, text, line, column):
+        lines = text.split("\n")
+        offset = sum(len(s) + 1 for s in lines[: line - 1]) + column - 1
+        with pytest.raises(ParseError, match=rf"^line {line}, column {column}: ") as err:
+            parse_interpretation(text)
+        assert err.value.position == offset
+        assert str(err.value).endswith(f" (at offset {offset})")
 
     def test_format_round_trip(self):
         rng = random.Random(413)
@@ -258,6 +377,24 @@ class TestSat:
         f = write(tmp_path, "f.s1s", "X sub Y\n")
         code, out, _ = run_cli(capsys, "sat", f, "--max-colors", "50000")
         assert code == 0 and out.startswith("SAT\n")
+
+
+# far deeper than the interpreter's recursion limit
+DEPTH_INPUTS = {
+    "not-chain": "!" * 3000 + "X < Y",
+    "and-chain": " & ".join(["X sub Y", "X < Y", "!Y < X"] * 400),
+    "parentheses": "(" * 3000 + "X sub Y" + ")" * 3000,
+    "first-order-not-chain": "!" * 3000 + "x < y",
+}
+
+
+@pytest.mark.parametrize("text", DEPTH_INPUTS.values(), ids=DEPTH_INPUTS)
+def test_deep_formulas_answer(capsys, tmp_path, text):
+    f = write(tmp_path, "f.s1s", text + "\n")
+    code, out, err = run_cli(capsys, "sat", f)
+    assert (code, err) == (0, "") and out.startswith("SAT\n")
+    i = write(tmp_path, "w.interp", out.split("\n", 1)[1])
+    assert run_cli(capsys, "check", f, i) == (0, "MEMBER\n", "")
 
 
 # -- check --------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Every module-level import of a package module is used by that module,
-and every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package, and no
+function of the package calls itself.
 
 No linter runs on this repository, so these scans keep dead imports and
 dead private helpers from accumulating.  The import scan skips the
-package's __init__.py: its imports are the public re-exports.
+package's __init__.py: its imports are the public re-exports.  The
+recursion scan keeps input depth from reaching the interpreter's
+recursion limit: every walk over a tree uses an explicit stack.
 """
 
 import ast
@@ -116,3 +119,112 @@ def test_package_modules_are_found():
 def test_module_uses_its_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(node: ast.AST):
+    """The descendants of node, not entering nested function or class
+    bodies (lambdas belong to the function they are written in)."""
+    stack = list(ast.iter_child_nodes(node))
+    while stack:
+        n = stack.pop()
+        yield n
+        if not isinstance(n, FUNCTIONS + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(n))
+
+
+def recursive_functions(tree: ast.Module) -> list[str]:
+    """Qualified names of the functions, nested defs included, that reach
+    themselves through calls by bare name or self. method, directly or
+    through other functions of the module.  A bare name resolves to the
+    innermost def of that name in an enclosing function, then to a module
+    function; self.name resolves to a method of the enclosing class."""
+    calls: dict[str, set[str]] = {}
+    # scope node, its qualified name, defs visible by bare name, self methods
+    todo = [(tree, "", {}, {})]
+    while todo:
+        scope, qual, visible, methods = todo.pop()
+        prefix = qual + "." if qual else ""
+        inner = [n for n in own_nodes(scope) if isinstance(n, FUNCTIONS + (ast.ClassDef,))]
+        defs = {n.name: prefix + n.name for n in inner if isinstance(n, FUNCTIONS)}
+        if isinstance(scope, ast.ClassDef):
+            methods = defs
+        else:
+            visible = {**visible, **defs}
+        if isinstance(scope, FUNCTIONS):
+            called = calls.setdefault(qual, set())
+            for n in own_nodes(scope):
+                if not isinstance(n, ast.Call):
+                    continue
+                f = n.func
+                if isinstance(f, ast.Name) and f.id in visible:
+                    called.add(visible[f.id])
+                elif (
+                    isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                    and f.attr in methods
+                ):
+                    called.add(methods[f.attr])
+        todo += [(n, prefix + n.name, visible, methods) for n in inner]
+    found = []
+    for start, callees in calls.items():
+        seen: set[str] = set()
+        stack = list(callees)
+        while stack:
+            f = stack.pop()
+            if f == start:
+                found.append(start)
+                break
+            if f not in seen:
+                seen.add(f)
+                stack.extend(calls.get(f, ()))
+    return sorted(found)
+
+
+def test_scan_finds_recursion():
+    source = (
+        "def direct(k):\n"
+        "    return direct(k - 1)\n"
+        "def outer(t):\n"
+        "    def walk(n):\n"
+        "        return [walk(c) for c in n]\n"
+        "    def step(n):\n"
+        "        return len(n)\n"
+        "    return walk(t)\n"
+        "def other(t):\n"
+        "    def step(n):\n"
+        "        return outer(n)\n"
+        "    return step(t)\n"
+        "def ping(n):\n"
+        "    return pong(n)\n"
+        "def pong(n):\n"
+        "    return ping(n) if n else 0\n"
+        "class Parser:\n"
+        "    def formula(self):\n"
+        "        return self.unary()\n"
+        "    def unary(self):\n"
+        "        return (lambda: self.formula())()\n"
+        "    def atom(self):\n"
+        "        return self.take()\n"
+        "    def take(self):\n"
+        "        return atom()\n"
+        "def atom():\n"
+        "    return 0\n"
+    )
+    assert recursive_functions(ast.parse(source)) == [
+        "Parser.formula",
+        "Parser.unary",
+        "direct",
+        "outer.walk",
+        "ping",
+        "pong",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_recursion(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert recursive_functions(tree) == []

@@ -32,6 +32,7 @@ from s1sup.logic import (
     encode_interp,
     ex2_witness,
     free_full,
+    free_min,
     interp_to_upword,
     models_full_up,
     models_up,
@@ -250,6 +251,29 @@ def test_direct_evaluator_rejects_quantifiers():
         models_up_direct(
             random_min_interp(random.Random(0), XY), Ex2("Y", Less("X", "Y"))
         )
+
+
+# a node of the other syntax, at the top or deep inside
+FULL_NODES = (FoLess("x", "y"), And(Less("X", "Y"), Not(FoIn("x", "X"))))
+MIN_NODES = (Incl("X", "Y"), FoAnd(FoIn("x", "X"), FoNot(Less("X", "Y"))))
+XYXY = ("x", "y", "X", "Y")
+
+
+@pytest.mark.parametrize(
+    "entry, nodes",
+    [
+        (lambda phi: translate(phi, XYXY), FULL_NODES),
+        (free_min, FULL_NODES),
+        (lambda phi: models_up_direct(UpInterpretation(), phi), FULL_NODES),
+        (lambda phi: reduce_full(phi, ("x",), ("X", "Y")), MIN_NODES),
+        (free_full, MIN_NODES),
+    ],
+    ids=["translate", "free_min", "models_up_direct", "reduce_full", "free_full"],
+)
+def test_entry_points_reject_the_other_syntax(entry, nodes):
+    for phi in nodes:
+        with pytest.raises(TypeError):
+            entry(phi)
 
 
 # -- satisfiability and witnesses ---------------------------------------------------
