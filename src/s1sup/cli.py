@@ -37,6 +37,7 @@ from .logic import models_full_up, models_up, reduce_full, sat_full, sat_min, tr
 from .semigroup import format_up_word, parse_semigroup, parse_up_word
 from .syntax import (
     format_formula,
+    format_heads,
     format_interpretation,
     parse_formula,
     parse_interpretation,
@@ -70,8 +71,8 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _stat_line(node, count: int) -> str:
-    text = format_formula(node)
+def _stat_line(text: str, count: int) -> str:
+    # text holds at least 73 characters of the formula, or all of it
     if len(text) > 72:
         text = text[:69] + "..."
     return f"{count:>6}  {text}"
@@ -132,7 +133,8 @@ def cmd_compile(
         _write(dot_file, format_dot(aut))
     lines = [f"states {aut.state_count} alphabet {aut.alphabet_size}"]
     if collected:
-        lines.extend(_stat_line(node, count) for node, count in collected)
+        heads = format_heads(reduced, 73)
+        lines.extend(_stat_line(heads[id(node)], count) for node, count in collected)
     return Verdict(None, stats=tuple(lines))
 
 

@@ -329,11 +329,12 @@ def _compact(A: BuchiNfa) -> BuchiNfa:
 
     Each pass preserves the language, and the passes enable each other,
     so they loop.  buchi._sim_reduce takes one of two routes: Moore's
-    partition refinement for deterministic automata (the deterministic
-    complements and products of deterministic operands), where mutual
-    simulation is bisimilarity and nothing can be pruned, and the n x n
-    simulation relation otherwise.  Both give the same automaton on
-    deterministic input, so the route never changes a result.
+    partition refinement for deterministic automata (the flip
+    complements and products of deterministic operands), at any size,
+    where mutual simulation is bisimilarity and nothing can be pruned,
+    and the n x n simulation relation otherwise, up to buchi._SIM_LIMIT
+    states.  Both give the same automaton on deterministic input, so the
+    route never changes a result.
     """
     out = buchi._trim(A)
     while True:
@@ -348,13 +349,20 @@ def _negate(A: BuchiNfa, max_colors: int) -> BuchiNfa:
     """Complement dispatch for the translation pipeline.
 
     Deterministic and weak operands admit small exact complements; nested
-    quantifiers blow the profile-semigroup budget without them.  The
-    general construction stays the fallback, so every route recognizes the
-    same language.
+    quantifiers blow the profile-semigroup budget without them.  A
+    deterministic weak operand is complemented by flipping its accepting
+    set (buchi.complement_flip), which keeps it deterministic; other
+    deterministic operands take the two-copy complement_deterministic,
+    and other weak ones the breakpoint complement_weak.  The general
+    construction stays the fallback, so every route recognizes the same
+    language.
     """
+    weak = buchi.is_weak(A)
     if buchi.is_deterministic(A):
+        if weak:
+            return _compact(buchi.complement_flip(A))
         return _compact(buchi.complement_deterministic(A))
-    if buchi.is_weak(A):
+    if weak:
         try:
             return _compact(buchi.complement_weak(A))
         except buchi.BreakpointBudget:
@@ -380,12 +388,15 @@ def translate(
     alphabet.  The automaton accepts exactly the packed interpretations
     satisfying the formula, on ultimately periodic words.
 
-    Intermediate results are trimmed and reduced by direct simulation
-    (_compact), which never changes the language but keeps negations
-    affordable.  Deterministic intermediates are reduced by partition
-    refinement, without the n x n relation, and the others through the
-    relation; on deterministic automata both give the bisimulation
-    quotient, so the result does not depend on the route.
+    Negations go through _negate, which complements deterministic weak
+    intermediates by flipping their acceptance, so those stay
+    deterministic.  Intermediate results are trimmed and reduced by
+    direct simulation (_compact), which never changes the language but
+    keeps negations affordable.  Deterministic intermediates are reduced
+    by partition refinement at any size, without the n x n relation, and
+    the others through the relation; on deterministic automata both give
+    the bisimulation quotient, so the result does not depend on the
+    route.
 
     Each distinct subformula is compiled once.  A first walk numbers the
     nodes in postorder by a structural key (kind, names, child numbers),

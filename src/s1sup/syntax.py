@@ -217,30 +217,51 @@ def parse_formula(text: str) -> ParsedFormula:
 # -- printing ---------------------------------------------------------------------
 
 
+def _render(node, names, args) -> str:
+    # one node's text from its names and its subformulas' texts, which
+    # appear in order, each whole, between fixed strings
+    if isinstance(node, (Less, FoLess)):
+        return f"{names[0]} < {names[1]}"
+    if isinstance(node, Incl):
+        return f"{names[0]} sub {names[1]}"
+    if isinstance(node, FoIn):
+        return f"{names[0]} in {names[1]}"
+    if isinstance(node, (And, FoAnd)):
+        # the left side of & must not swallow the &: parenthesize
+        # quantifiers and conjunctions there
+        if isinstance(node.left, (And, FoAnd, Ex2, FoEx1, FoEx2)):
+            return f"({args[0]}) & {args[1]}"
+        return f"{args[0]} & {args[1]}"
+    if isinstance(node, (Not, FoNot)):
+        if isinstance(node.sub, (Less, Incl, FoLess, FoIn, Not, FoNot)):
+            return "!" + args[0]
+        return f"!({args[0]})"
+    quantifier = "ex1" if isinstance(node, FoEx1) else "ex2"
+    return f"{quantifier} {names[0]}. {args[0]}"
+
+
 def format_formula(phi: MinFormula | FullFormula) -> str:
     """Surface rendering; parses back to the same tree."""
+    return _fold(phi, None, _render)
+
+
+def format_heads(phi: MinFormula | FullFormula, width: int) -> dict[int, str]:
+    """The first width characters of format_formula(node) for every node
+    of phi, keyed by id(node).
+
+    A node's text holds its subformulas' texts whole and in order, so its
+    first width characters depend only on the first width characters of
+    each of them.  One fold keeping that much per node costs O(width) a
+    node, where rendering every subtree in full costs the square of the
+    depth."""
+    heads: dict[int, str] = {}
 
     def step(node, names, args) -> str:
-        if isinstance(node, (Less, FoLess)):
-            return f"{names[0]} < {names[1]}"
-        if isinstance(node, Incl):
-            return f"{names[0]} sub {names[1]}"
-        if isinstance(node, FoIn):
-            return f"{names[0]} in {names[1]}"
-        if isinstance(node, (And, FoAnd)):
-            # the left side of & must not swallow the &: parenthesize
-            # quantifiers and conjunctions there
-            if isinstance(node.left, (And, FoAnd, Ex2, FoEx1, FoEx2)):
-                return f"({args[0]}) & {args[1]}"
-            return f"{args[0]} & {args[1]}"
-        if isinstance(node, (Not, FoNot)):
-            if isinstance(node.sub, (Less, Incl, FoLess, FoIn, Not, FoNot)):
-                return "!" + args[0]
-            return f"!({args[0]})"
-        quantifier = "ex1" if isinstance(node, FoEx1) else "ex2"
-        return f"{quantifier} {names[0]}. {args[0]}"
+        text = heads[id(node)] = _render(node, names, args)[:width]
+        return text
 
-    return _fold(phi, None, step)
+    _fold(phi, None, step)
+    return heads
 
 
 # -- interpretations ----------------------------------------------------------------

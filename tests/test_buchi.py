@@ -1,8 +1,11 @@
+import itertools
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     naive_direct_simulation,
@@ -19,6 +22,7 @@ from s1sup.buchi import (
     AlphabetMismatch,
     BuchiNfa,
     complement_deterministic,
+    complement_flip,
     complement_weak,
     empty_nfa,
     ex_project,
@@ -419,6 +423,97 @@ def test_complement_weak_budget():
         complement_weak(A, max_states=1)
 
 
+def det_weak_buchi(n, rows, initial, flags):
+    """The deterministic automaton with successor rows[a][p] (None for
+    none), accepting the states of each SCC c with flags[c]."""
+    transitions = [
+        (p, a, q) for a, row in enumerate(rows) for p, q in enumerate(row) if q is not None
+    ]
+    edges: dict[int, list[int]] = {}
+    for p, _, q in transitions:
+        edges.setdefault(p, []).append(q)
+    comp = scc_index(n, edges)
+    accepting = [s for s in range(n) if flags[comp[s] % len(flags)]]
+    return BuchiNfa(n, len(rows), transitions, initial, accepting)
+
+
+def random_det_weak_buchi(rng, max_states=4, alphabet=3):
+    """Partial rows, letters sharing an earlier letter's row, and now and
+    then no initial or no accepting state."""
+    n = rng.randint(1, max_states)
+    rows: list[list[int | None]] = []
+    for a in range(alphabet):
+        if a and rng.random() < 0.4:
+            rows.append(rows[rng.randrange(a)])
+        else:
+            rows.append([rng.randrange(n) if rng.random() < 0.75 else None for _ in range(n)])
+    initial = [] if rng.random() < 0.1 else [rng.randrange(n)]
+    flags = [False] if rng.random() < 0.15 else [rng.random() < 0.5 for _ in range(n)]
+    return det_weak_buchi(n, rows, initial, flags)
+
+
+def short_up_words(alphabet):
+    """Every UP word with a prefix and a period of length 1 or 2."""
+    parts = [p for k in (1, 2) for p in itertools.product(range(alphabet), repeat=k)]
+    return [UpWord(pre, per) for pre in parts for per in parts]
+
+
+def test_deterministic_weak_complements_agree_with_naive_membership():
+    rng = random.Random(438)
+    words = short_up_words(3)
+    seen = {"partial": 0, "no initial": 0, "no accepting": 0, "shared class": 0}
+    for _ in range(60):
+        A = random_det_weak_buchi(rng)
+        assert is_deterministic(A) and is_weak(A)
+        seen["partial"] += any(not row for rows in A._class_rows for row in rows)
+        seen["no initial"] += not A.initial
+        seen["no accepting"] += bool(A.initial) and not A.accepting
+        seen["shared class"] += len(A._class_rows) < A.alphabet_size
+        F = complement_flip(A)
+        assert is_deterministic(F) and is_weak(F)
+        if A.initial:
+            assert F.state_count == A.state_count + 1
+        complements = (F, complement_deterministic(A), complement_weak(A))
+        for sigma in words:
+            inside = naive_membership_up(A, sigma)
+            assert [naive_membership_up(C, sigma) for C in complements] == [not inside] * 3
+    assert min(seen.values()) >= 3, seen
+
+
+def test_complement_flip_rejects_other_automata():
+    with pytest.raises(ValueError):
+        complement_flip(BuchiNfa(2, 1, [(0, 0, 0), (0, 0, 1)], [0], []))
+    with pytest.raises(ValueError):
+        complement_flip(inf_ones())
+
+
+@st.composite
+def det_weak_and_word(draw):
+    n = draw(st.integers(1, 4))
+    alphabet = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.lists(st.none() | st.integers(0, n - 1), min_size=n, max_size=n),
+            min_size=alphabet,
+            max_size=alphabet,
+        )
+    )
+    initial = draw(st.lists(st.integers(0, n - 1), max_size=1))
+    flags = draw(st.lists(st.booleans(), min_size=1, max_size=n))
+    letters = st.lists(st.integers(0, alphabet - 1), min_size=1, max_size=3)
+    word = UpWord(tuple(draw(letters)), tuple(draw(letters)))
+    return det_weak_buchi(n, rows, initial, flags), word
+
+
+@settings(max_examples=200, deadline=None)
+@given(det_weak_and_word())
+def test_complement_flip_property(case):
+    A, sigma = case
+    F = complement_flip(A)
+    assert is_deterministic(F) and is_weak(F)
+    assert naive_membership_up(A, sigma) != naive_membership_up(F, sigma)
+
+
 def test_product_weak_is_intersection():
     rng = random.Random(429)
     for _ in range(300):
@@ -589,9 +684,19 @@ def test_transpose_of_packed_bits(route, n):
 
 
 def test_sim_reduce_leaves_automata_over_the_limit_unchanged():
+    # nondeterministic, so the relation route and its limit apply: a chain
+    # whose first state also steps to the third
     n = buchi._SIM_LIMIT + 1
-    chain = BuchiNfa(n, 1, [(p, 0, p + 1) for p in range(n - 1)], [0], [n - 1])
-    assert buchi._sim_reduce(chain) is chain
+    A = BuchiNfa(n, 1, [(p, 0, p + 1) for p in range(n - 1)] + [(0, 0, 2)], [0], [n - 1])
+    assert not is_deterministic(A)
+    assert buchi._sim_reduce(A) is A
+
+
+def test_sim_reduce_reduces_deterministic_automata_over_the_limit():
+    # deterministic input takes Moore's refinement at any size
+    n = buchi._SIM_LIMIT + 1
+    cycle = BuchiNfa(n, 1, [(p, 0, (p + 1) % n) for p in range(n)], [0], range(n))
+    assert buchi._sim_reduce(cycle) == loop_one()
 
 
 def test_sim_reduce_merges_mutually_similar_states():

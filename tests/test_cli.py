@@ -24,6 +24,8 @@ from s1sup.logic import (
     Less,
     Not,
     UpInterpretation,
+    reduce_full,
+    translate,
 )
 from s1sup.semigroup import UpWord, new_semigroup, parse_up_word, up_equiv
 from s1sup.syntax import (
@@ -472,6 +474,38 @@ class TestCompile:
             "     1  X sub Y",
             "     2  !X < Y & X sub Y",
         ]
+
+    def test_stats_lines_match_whole_formula_rendering(self, capsys, tmp_path):
+        # the TRIV merge formula, the formulas whose node counts
+        # test_logic pins, and a chain deep enough that every line is cut
+        rng = random.Random(107)
+        texts = [format_formula(phi_merge(new_semigroup(1, [[0]])))]
+        for _ in range(20):
+            depth = rng.randint(1, 3)
+            texts.append(format_formula(random_full_formula(rng, ("x", "y"), ("X",), depth, 2)))
+        texts.append("!" * 300 + "X < Y")
+        cut = 0
+        for k, text in enumerate(texts):
+            parsed = parse_formula(text)
+            if parsed.is_full:
+                parts = parsed.formula, parsed.first_order, parsed.second_order
+                reduced, variables = reduce_full(*parts)
+            else:
+                reduced, variables = parsed.formula, parsed.variables
+            collected = []
+            translate(reduced, variables, stats=collected)
+            expected = []
+            for node, count in collected:
+                shown = format_formula(node)
+                if len(shown) > 72:
+                    shown = shown[:69] + "..."
+                    cut += 1
+                expected.append(f"{count:>6}  {shown}")
+            f = write(tmp_path, f"f{k}.s1s", text + "\n")
+            code, out, _ = run_cli(capsys, "compile", f, str(tmp_path / "a.nfa"), "--stats")
+            assert code == 0
+            assert out.splitlines()[1:] == expected
+        assert cut > 200
 
     def test_dot_output(self, capsys, tmp_path):
         f = write(tmp_path, "f.s1s", "X sub Y\n")

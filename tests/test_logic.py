@@ -49,6 +49,7 @@ from s1sup import buchi, logic
 from s1sup.buchi import BuchiNfa, membership_up
 from s1sup.encodings import MERGE_FIRST_ORDER, merge_second_order, phi_merge
 from s1sup.semigroup import UpWord, new_semigroup, up_at, up_equiv
+from s1sup.syntax import parse_formula
 
 XY = ("X", "Y")
 
@@ -479,13 +480,13 @@ def test_sat_full_witnesses_random():
 # benchmark's cli-requests draws them (seed 107); a weaker reduction of the
 # intermediates changes them
 TRIV_NODE_STATES = (
-    "3 2 3 3 3 3 2 3 3 3 3 2 3 3 3 3 3 3 2 3 3 3 1 3 2 3 3 6 4 7 7 6 1 3 2 "
-    "3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 3 2 3 3 3 3 "
-    "3 8 1 1 3 2 3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 "
-    "4 4 6 4 11 22 12 5 5 4 1 4 10 12 9 3 2 3 3 3 1 3 2 3 3 6 4 7 7 6 1 3 2 "
-    "3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 3 2 3 3 3 3 "
-    "3 8 1 1 3 2 3 3 3 3 3 2 3 3 3 3 3 8 4 4 4 1 2 5 8 6 5 10 6 4 4 4 3 3 6 "
-    "4 4 6 4 11 22 12 5 5 4 1 4 10 37 21 32 6 5 6 6 6 6 "
+    "3 2 3 3 3 3 2 3 3 3 3 2 3 3 3 3 3 3 2 3 3 3 1 3 2 3 3 4 3 7 7 5 1 3 2 "
+    "3 3 3 3 3 2 3 3 3 3 3 8 4 4 3 1 2 5 6 5 5 6 5 4 4 3 3 3 4 3 2 3 3 3 3 "
+    "3 8 1 1 3 2 3 3 3 3 3 2 3 3 3 3 3 8 4 4 3 1 2 5 6 5 5 6 5 4 4 3 3 3 4 "
+    "3 3 4 3 11 12 11 5 5 4 1 4 8 10 7 3 2 3 3 3 1 3 2 3 3 4 3 7 7 5 1 3 2 "
+    "3 3 3 3 3 2 3 3 3 3 3 8 4 4 3 1 2 5 6 5 5 6 5 4 4 3 3 3 4 3 2 3 3 3 3 "
+    "3 8 1 1 3 2 3 3 3 3 3 2 3 3 3 3 3 8 4 4 3 1 2 5 6 5 5 6 5 4 4 3 3 3 4 "
+    "3 3 4 3 11 12 11 5 5 4 1 4 8 28 16 23 6 5 6 6 6 6 "
 )
 CLI_NODE_STATES = (
     "3 2 3 3 3 3 2 3 3 3 1 1 1 3 5",
@@ -493,7 +494,7 @@ CLI_NODE_STATES = (
     "3 2 3 3 3 3 2 3 3 3 1 2 5 4 3",
     "3 2 3 3 3 3 3 2 3 3 3 3 4 4 5 0",
     "3 2 3 3 3 3 2 3 3 3 1 2 1 1 2 5 4 3",
-    "3 2 3 3 3 1 3 3 2 2",
+    "3 2 3 3 3 1 3 3 1 2",
     "3 2 3 3 3 3 2 3 3 3 3 3 5 0 0",
     "3 2 3 3 3 1 3",
     "3 2 3 3 3 3 2 3 3 3 3 7 3 0 0",
@@ -507,7 +508,7 @@ CLI_NODE_STATES = (
     "3 2 3 3 3 1 1 1 1 3 2 3 3 3 3 2 3 3 3 3",
     "3 2 3 3 3 3 2 3 3 3 3 2 3 4",
     "3 2 3 3 3 3 2 3 3 3 1 1 3 2 2 3 3 3",
-    "3 2 3 3 3 3 2 3 3 3 1 2 5 4 2 3",
+    "3 2 3 3 3 3 2 3 3 3 1 2 5 4 1 3",
 )
 
 
@@ -578,3 +579,103 @@ def test_translate_compiles_each_distinct_subformula_once(monkeypatch):
     assert len(calls) == len(distinct)
     assert len(stats) == len(TRIV_NODE_STATES.split()) == 230
     assert " ".join(str(count) for _, count in stats) == TRIV_NODE_STATES.strip()
+
+
+# -- fallback complement routes ----------------------------------------------------
+
+# Every negated operand of the merge and cli-requests compiles is weak, and
+# the deterministic ones are complemented by flipping.  "Infinitely often"
+# formulas still reach the other routes: negating I(X) needs the two-copy
+# complement_deterministic, a conjunction of two of them the two-copy
+# intersection, and "no infinite subset Z of X" the general complement.
+FALLBACK_FO, FALLBACK_SO = ("x", "y", "z"), ("X", "Y", "Z")
+
+
+def _infinitely_often(V):
+    return f"!(ex1 x. !(ex1 y. x < y & y in {V}))"
+
+
+def _no_infinite_subset(V):
+    return f"!(ex2 Z. ({_infinitely_often('Z')}) & !(ex1 z. z in Z & !(z in {V})))"
+
+
+def _infinite(word):
+    return any(word.period)
+
+
+FALLBACK_SHAPES = (
+    (f"!({_infinitely_often('X')})", lambda X, Y: not X),
+    (f"!(({_infinitely_often('X')}) & {_infinitely_often('Y')})", lambda X, Y: not (X and Y)),
+    (_no_infinite_subset("X"), lambda X, Y: not X),
+)
+
+
+def _fallback_family(rng, count):
+    """The three shapes, then count seeded boolean combinations of
+    infinitely-often leaves and set atoms, all in the minimal syntax.  Each
+    formula comes with its skeleton: the quantifier free formula, for a
+    given interpretation, in which every quantified leaf is replaced by
+    the constant X sub X or !(X sub X) that the definition gives it."""
+    true = Incl("X", "X")
+
+    def leaf(text, truth):
+        phi = reduce_full(parse_formula(text).formula, FALLBACK_FO, FALLBACK_SO)[0]
+        return phi, lambda i: true if truth(i) else Not(true)
+
+    atoms = (Incl("X", "Y"), Less("X", "Y"), Less("Y", "X"))
+    leaves = [(atom, lambda i, atom=atom: atom) for atom in atoms]
+    for V in ("X", "Y"):
+        leaves.append(leaf(_infinitely_often(V), lambda i, V=V: _infinite(i.sets[V])))
+        leaves.append(leaf(_no_infinite_subset(V), lambda i, V=V: not _infinite(i.sets[V])))
+    family = [
+        leaf(text, lambda i, truth=truth: truth(_infinite(i.sets["X"]), _infinite(i.sets["Y"])))
+        for text, truth in FALLBACK_SHAPES
+    ]
+
+    def draw(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.3:
+            return rng.choice(leaves)
+        if roll < 0.6:
+            phi, skeleton = draw(depth - 1)
+            return Not(phi), lambda i: Not(skeleton(i))
+        (left, ls), (right, rs) = draw(depth - 1), draw(depth - 1)
+        return And(left, right), lambda i: And(ls(i), rs(i))
+
+    family += [draw(2) for _ in range(count)]
+    return family
+
+
+def test_fallback_complement_routes_stay_exact(monkeypatch):
+    calls = {}
+    for module, name in (
+        (buchi, "complement_deterministic"),
+        (buchi, "intersection"),
+        (logic, "complement"),
+    ):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = random.Random(474)
+    variables = FALLBACK_FO + FALLBACK_SO + ("_s",)
+    empty = UpWord((0,), (0,))
+    for phi, skeleton in _fallback_family(rng, 12):
+        A = translate(phi, variables)
+        for _ in range(40):
+            interp = random_min_interp(rng, XY)
+            word = interp_to_upword(interp, variables)
+            assert membership_up(A, word) == models_up_direct(interp, skeleton(interp))
+        found = sat_min(phi, variables)
+        if found is not None:
+            filled = UpInterpretation(sets={v: found.sets.get(v, empty) for v in XY})
+            assert models_up_direct(filled, skeleton(filled))
+    assert calls.keys() == {"complement_deterministic", "intersection", "complement"}
+    # the three shapes through the full syntax: each witness satisfies the
+    # shape by the definition
+    for text, truth in FALLBACK_SHAPES:
+        found = sat_full(parse_formula(text).formula, FALLBACK_FO, FALLBACK_SO)
+        X, Y = (_infinite(found.sets.get(v, empty)) for v in XY)
+        assert truth(X, Y)
+
