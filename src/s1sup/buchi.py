@@ -45,7 +45,6 @@ class BuchiNfa:
         "_class_first_letter",
         "_transitions",
         "_mask_cache",
-        "_edge_cache",
     )
 
     def __init__(
@@ -114,7 +113,6 @@ class BuchiNfa:
         self._class_first_letter = tuple(new_first)
         self._transitions = None
         self._mask_cache = {}
-        self._edge_cache = {}
 
     @classmethod
     def _make(cls, state_count, alphabet_size, letter_class, class_rows, initial, accepting):
@@ -196,20 +194,6 @@ class BuchiNfa:
                 sum(1 << q for q in row) for row in self._class_rows[cls]
             )
             self._mask_cache[cls] = got
-        return got
-
-    def _np_edges(self, cls: int):
-        got = self._edge_cache.get(cls)
-        if got is None:
-            rows = self._class_rows[cls]
-            counts = np.fromiter((len(r) for r in rows), dtype=np.int64, count=len(rows))
-            total = int(counts.sum())
-            src = np.repeat(np.arange(self.state_count, dtype=np.int64), counts)
-            dst = np.fromiter(
-                itertools.chain.from_iterable(rows), dtype=np.int64, count=total
-            )
-            got = (src, dst)
-            self._edge_cache[cls] = got
         return got
 
 
@@ -324,8 +308,13 @@ def _adjacency(A: BuchiNfa, nodes: Iterable[int]) -> dict[int, tuple[int, ...]]:
 
 
 def _strongly_connected(nodes: Sequence, succ: Callable):
-    """Iterative Tarjan.  Returns a map node -> component id; components
-    that contain a cycle (size above one, or a self loop) are flagged."""
+    """Iterative Tarjan over the nodes reachable from nodes.  Returns a map
+    node -> component id, and per component id a flag that it contains a
+    cycle (size above one, or a self loop).
+
+    A component is numbered only after every component it reaches, and
+    the map lists the nodes in component order.  membership_up and _trim
+    rely on both."""
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
@@ -650,71 +639,36 @@ def _check_word_alphabet(A: BuchiNfa, sigma: UpWord):
 def membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
     """Does A accept the expansion of sigma?
 
-    The states reachable after the prefix are stepped as one boolean
-    vector.  The period then spans a graph on (period position, state)
-    pairs, cut to the part reachable from that vector; every cycle of the
-    product with sigma's positions already lies there.  A accepts exactly
-    when some cycle of that graph passes an accepting pair, that is, when
-    the greatest fixpoint of Z = accepting pairs that reach Z in one or
-    more steps is nonempty.  Every step is a vectorized operation over the
-    class edge arrays.
+    The prefix is stepped as a set of states.  The period then spans a
+    graph on the nodes v = t * n + p, period position t and state p, where
+    position t steps by the t-th period letter to position (t + 1) mod
+    |period|.  Every cycle of a run over sigma's period lies in the part
+    of that graph reachable from the states after the prefix, at position
+    0.  A accepts exactly when a cyclic component of that part holds a
+    node whose state is accepting, which one _strongly_connected pass from
+    those states decides.
     """
     _check_word_alphabet(A, sigma)
     if A.state_count == 0 or not A.initial or not A.accepting:
         return False
-    return _member_vector(A, sigma)
-
-
-def _member_vector(A: BuchiNfa, sigma: UpWord) -> bool:
+    current = set(A.initial)
+    for a in sigma.prefix:
+        rows = A._class_rows[A._letter_class[a]]
+        current = {q for p in current for q in rows[p]}
+        if not current:
+            return False
     n = A.state_count
     ny = len(sigma.period)
-    f = np.zeros(n, dtype=bool)
-    f[list(A.initial)] = True
-    for a in sigma.prefix:
-        src, dst = A._np_edges(A._letter_class[a])
-        nf = np.zeros(n, dtype=bool)
-        nf[dst[f[src]]] = True
-        f = nf
-        if not f.any():
-            return False
-    srcs = []
-    dsts = []
-    for t, a in enumerate(sigma.period):
-        src, dst = A._np_edges(A._letter_class[a])
-        srcs.append(src + t * n)
-        dsts.append(dst + ((t + 1) % ny) * n)
-    psrc = np.concatenate(srcs)
-    pdst = np.concatenate(dsts)
-    m = ny * n
-    reach = np.zeros(m, dtype=bool)
-    reach[np.flatnonzero(f)] = True
-    while True:
-        new = pdst[reach[psrc] & ~reach[pdst]]
-        if new.size == 0:
-            break
-        reach[new] = True
-    keep = reach[psrc] & reach[pdst]
-    psrc = psrc[keep]
-    pdst = pdst[keep]
-    acc_states = np.fromiter(A.accepting, dtype=np.int64, count=len(A.accepting))
-    z = np.zeros(m, dtype=bool)
-    for t in range(ny):
-        z[acc_states + t * n] = True
-    z &= reach
-    while True:
-        if not z.any():
-            return False
-        pre = np.zeros(m, dtype=bool)
-        pre[psrc[z[pdst]]] = True
-        while True:
-            new = psrc[pre[pdst] & ~pre[psrc]]
-            if new.size == 0:
-                break
-            pre[new] = True
-        z2 = z & pre
-        if int(z2.sum()) == int(z.sum()):
-            return True
-        z = z2
+    period_rows = [A._class_rows[A._letter_class[a]] for a in sigma.period]
+
+    def succ(v):
+        t, p = divmod(v, n)
+        base = (t + 1) % ny * n
+        return [base + q for q in period_rows[t][p]]
+
+    comp, has_cycle = _strongly_connected(sorted(current), succ)
+    acc = A.accepting
+    return any(has_cycle[c] for v, c in comp.items() if v % n in acc)
 
 
 def match_for_up(A: BuchiNfa, sigma: UpWord) -> Match | None:
@@ -744,50 +698,43 @@ def match_for_up(A: BuchiNfa, sigma: UpWord) -> Match | None:
 def _trim(A: BuchiNfa) -> BuchiNfa:
     """Keep states that are reachable and can still reach an accepting
     cycle.  Preserves the language exactly.  Returns A itself when every
-    state is kept."""
+    state is kept.
+
+    One _strongly_connected pass from the initial states finds the
+    reachable states.  It numbers a component only after every component
+    it reaches, so one pass over the states in component order marks a
+    component live when it is cyclic with an accepting member, or when it
+    has an edge into a component already marked live.
+    """
     if A.state_count == 0:
         return A
-    parent, _ = _layered_bfs(A, A.initial)
-    reachable = sorted(parent)
-    adj = _adjacency(A, reachable)
-    comp, has_cycle = _strongly_connected(reachable, lambda v: adj[v])
-    targets = {
-        s for s in reachable if s in A.accepting and has_cycle[comp[s]]
-    }
-    if not targets:
+    adj = _adjacency(A, range(A.state_count))
+    comp, has_cycle = _strongly_connected(sorted(A.initial), adj.__getitem__)
+    live = [False] * len(has_cycle)
+    acc = A.accepting
+    for s, c in comp.items():
+        if not live[c] and (
+            has_cycle[c] and s in acc or any(live[comp[q]] for q in adj[s])
+        ):
+            live[c] = True
+    keep = sorted(s for s, c in comp.items() if live[c])
+    if not keep:
         return empty_nfa(A.alphabet_size)
-    rev: dict[int, list[int]] = {s: [] for s in reachable}
-    for p in reachable:
-        for q in adj[p]:
-            rev[q].append(p)
-    keep = set(targets)
-    work = list(targets)
-    while work:
-        q = work.pop()
-        for p in rev[q]:
-            if p not in keep:
-                keep.add(p)
-                work.append(p)
     if len(keep) == A.state_count:
         # nothing to cut; the rebuilt automaton would equal A
         return A
-    old_order = sorted(keep)
-    remap = {s: i for i, s in enumerate(old_order)}
-    letter_class = list(A._letter_class)
-    new_rows = []
-    for rows in A._class_rows:
-        new_rows.append(
-            tuple(
-                tuple(remap[q] for q in rows[s] if q in keep) for s in old_order
-            )
-        )
+    new = {s: i for i, s in enumerate(keep)}
+    class_rows = [
+        tuple(tuple(new[q] for q in rows[s] if q in new) for s in keep)
+        for rows in A._class_rows
+    ]
     return BuchiNfa._make(
-        len(old_order),
+        len(keep),
         A.alphabet_size,
-        letter_class,
-        new_rows,
-        [remap[s] for s in A.initial if s in keep],
-        [remap[s] for s in A.accepting if s in keep],
+        A._letter_class,
+        class_rows,
+        [new[s] for s in A.initial if s in new],
+        [new[s] for s in A.accepting if s in new],
     )
 
 

@@ -24,6 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .buchi import BuchiNfa, membership_up
+from .complement import DEFAULT_MAX_COLORS
 from .logic import (
     FoAnd,
     FoEx1,
@@ -191,7 +192,7 @@ def check_merge_encoding(
     sigma: UpWord,
     i: int,
     j: int,
-    max_colors: int = 20000,
+    max_colors: int = DEFAULT_MAX_COLORS,
 ) -> bool:
     """Decide merging of positions i and j through the formula route.
 

@@ -401,12 +401,11 @@ def translate(
     Each distinct subformula is compiled once.  A first walk numbers the
     nodes in postorder by a structural key (kind, names, child numbers),
     never by hashing the dataclasses, whose hash recurses over the whole
-    subtree.  The compile walk then skips the subtree of every node it
-    has compiled before, and holds each result only until its last use.
-    Both walks use explicit stacks, so depth costs no recursion.  When
-    stats is a list, one (formula, state count) entry is appended per
-    node occurrence in postorder; a repeated subtree replays the entries
-    of its first occurrence.
+    subtree.  The distinct nodes are then compiled in number order, and
+    each result is held only until its last use.  The walk uses an
+    explicit stack, so depth costs no recursion.  When stats is a list,
+    one (node, state count) entry is appended per node occurrence in
+    postorder, the count being that of the node's number.
     """
     alpha = SetAlphabet(tuple(variables))
     # the number of each visited node object (by id, as every node stays
@@ -433,28 +432,17 @@ def translate(
             keys[key] = len(first)
             first.append((node, kids))
         number[id(node)] = keys[key]
-    top = number[id(phi)]
 
-    # the compile walk reaches a number once per place it has among the
-    # children of distinct nodes, and uses its result there
+    # a node is numbered after its subformulas, so compiling in number
+    # order finds every operand compiled; each result is held until its
+    # last use among the children of distinct nodes
     uses = [0] * len(first)
     for _, kids in first:
         for k in kids:
             uses[k] += 1
-    lines = [] if stats is None else stats
     done: dict[int, BuchiNfa] = {}
-    replay: dict[int, tuple[int, int]] = {}
-    walk: list[tuple[int, int | None]] = [(top, None)]
-    while walk:
-        i, begin = walk.pop()
-        if begin is None:
-            if i in done:
-                lines.extend(lines[slice(*replay[i])])
-            else:
-                walk.append((i, len(lines)))
-                walk += [(k, None) for k in reversed(first[i][1])]
-            continue
-        node, kids = first[i]
+    counts = []
+    for i, (node, kids) in enumerate(first):
         args = [done[k] for k in kids]
         for k in kids:
             uses[k] -= 1
@@ -471,9 +459,10 @@ def translate(
         else:
             out = _compact(buchi.ex_project(args[0], alpha.flip_pairs(node.var)))
         done[i] = out
-        lines.append((node, out.state_count))
-        replay[i] = (begin, len(lines))
-    return done[top]
+        counts.append(out.state_count)
+    if stats is not None:
+        _fold(phi, None, lambda node, _, args: stats.append((node, counts[number[id(node)]])))
+    return done[number[id(phi)]]
 
 
 def models_up(

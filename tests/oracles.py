@@ -356,6 +356,42 @@ def scc_index(n: int, edges: dict[int, list[int]]) -> list[int]:
     return comp
 
 
+def naive_trim(A: BuchiNfa) -> BuchiNfa:
+    """The states reachable from an initial state that reach an accepting
+    state of a cyclic component (scc_index), renumbered in sorted order,
+    with the transitions, initial and accepting states among them."""
+    n = A.state_count
+    edges = {p: sorted({q for p2, _, q in A.transitions if p2 == p}) for p in range(n)}
+    comp = scc_index(n, edges)
+    cyclic = {comp[p] for p in range(n) if p in edges[p]}
+    cyclic |= {c for c in comp if comp.count(c) > 1}
+    targets = {s for s in A.accepting if comp[s] in cyclic}
+    rev: dict[int, list[int]] = {p: [] for p in range(n)}
+    for p, qs in edges.items():
+        for q in qs:
+            rev[q].append(p)
+
+    def closure(start, graph):
+        seen = set(start)
+        stack = list(start)
+        while stack:
+            for q in graph[stack.pop()]:
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    keep = sorted(closure(A.initial, edges) & closure(targets, rev))
+    new = {s: i for i, s in enumerate(keep)}
+    return BuchiNfa(
+        len(keep),
+        A.alphabet_size,
+        [(new[p], a, new[q]) for p, a, q in A.transitions if p in new and q in new],
+        [new[s] for s in A.initial if s in new],
+        [new[s] for s in A.accepting if s in new],
+    )
+
+
 # --------------------------------------------------------------- generators
 
 

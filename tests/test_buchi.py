@@ -11,6 +11,7 @@ from oracles import (
     naive_direct_simulation,
     naive_lasso_exists,
     naive_membership_up,
+    naive_trim,
     random_buchi,
     random_det_buchi,
     random_up_word,
@@ -291,6 +292,36 @@ def test_membership_matches_definition_and_naive():
         got = membership_up(A, sigma)
         assert got == is_satisfiable(intersection(A, exact_up_nfa(sigma, 2)))
         assert got == naive_membership_up(A, sigma)
+
+
+@st.composite
+def automaton_and_word(draw):
+    """Up to 8 states over 3 letters, a letter sometimes sharing an
+    earlier letter's class, states without successors, and now and then
+    no initial or no accepting state; prefix and period of length 1-4."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for a in range(3):
+        if a and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, a - 1))])
+        else:
+            successors = st.frozensets(st.integers(0, n - 1), max_size=3)
+            rows.append(draw(st.lists(successors, min_size=n, max_size=n)))
+    initial = draw(st.frozensets(st.integers(0, n - 1), max_size=2))
+    accepting = draw(st.frozensets(st.integers(0, n - 1), max_size=n))
+    transitions = [(p, a, q) for a, row in enumerate(rows) for p in range(n) for q in row[p]]
+    letters = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+    word = UpWord(tuple(draw(letters)), tuple(draw(letters)))
+    return BuchiNfa(n, 3, transitions, initial, accepting), word
+
+
+@settings(max_examples=300, deadline=None)
+@given(automaton_and_word())
+def test_membership_property(case):
+    A, sigma = case
+    got = membership_up(A, sigma)
+    assert got == naive_membership_up(A, sigma)
+    assert got == (match_for_up(A, sigma) is not None)
 
 
 # -- match extraction for members --------------------------------------------
@@ -744,6 +775,36 @@ def test_trim_returns_its_input_when_it_cuts_nothing():
             assert T != A
             cut += 1
     assert min(kept, cut) >= 20
+
+
+def test_trim_matches_naive_trim():
+    # from 0: 1 is accepting on no cycle and leads to 2's rejecting self
+    # loop, 3 has an accepting self loop and a dead end 6 behind it, and
+    # the accepting cycle 4 <-> 5 is unreachable
+    A = BuchiNfa(
+        7,
+        2,
+        [(0, 0, 1), (1, 1, 2), (2, 0, 2), (0, 1, 3), (3, 0, 3), (3, 1, 6),
+         (4, 0, 5), (5, 0, 4), (4, 1, 3)],
+        [0],
+        [1, 3, 4, 5, 6],
+    )
+    T = BuchiNfa(2, 2, [(0, 1, 1), (1, 0, 1)], [0], [1])
+    assert buchi._trim(A) == naive_trim(A) == T
+    # a dead end and an unreachable accepting cycle only; no initial state
+    for A in (
+        BuchiNfa(3, 1, [(0, 0, 0), (1, 0, 2)], [1], [0, 1, 2]),
+        BuchiNfa(2, 1, [(0, 0, 0)], [], [0]),
+    ):
+        assert buchi._trim(A) == naive_trim(A) == empty_nfa(1)
+    rng = random.Random(440)
+    seen = {"kept": 0, "cut": 0, "emptied": 0}
+    for _ in range(300):
+        A = random_buchi(rng, 8, 2, density=0.15)
+        T = buchi._trim(A)
+        assert T == naive_trim(A)
+        seen["kept" if T is A else "cut" if T.state_count else "emptied"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def _random_deterministic(rng, size, alphabet, complete):

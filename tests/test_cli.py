@@ -380,6 +380,19 @@ class TestSat:
         code, out, _ = run_cli(capsys, "sat", f, "--max-colors", "50000")
         assert code == 0 and out.startswith("SAT\n")
 
+    def test_color_budget_exits_two(self, capsys, tmp_path):
+        # "X has no infinite subset" reaches the general complement, whose
+        # color closure outgrows two colors
+        often = "!(ex1 x. !(ex1 y. x < y & y in Z))"
+        text = f"!(ex2 Z. ({often}) & !(ex1 z. z in Z & !(z in X)))\n"
+        f = write(tmp_path, "f.s1s", text)
+        assert run_cli(capsys, "sat", f, "--max-colors", "2") == (
+            2,
+            "",
+            "error: more than 2 realizable colors\n",
+        )
+        assert run_cli(capsys, "sat", f)[0] == 0
+
 
 # far deeper than the interpreter's recursion limit
 DEPTH_INPUTS = {
@@ -544,6 +557,18 @@ class TestComplement:
             "blocks 2",
         ]
         parse_nfa(c.read_text())
+
+    def test_color_budget_exits_two_without_output(self, capsys, tmp_path):
+        f = write(tmp_path, "f.s1s", "X sub Y\n")
+        a = str(tmp_path / "a.nfa")
+        run_cli(capsys, "compile", f, a)
+        c = tmp_path / "c.nfa"
+        assert run_cli(capsys, "complement", a, str(c), "--max-colors", "1") == (
+            2,
+            "",
+            "error: more than 1 realizable colors\n",
+        )
+        assert not c.exists()
 
     def test_without_stats_only_size_line(self, capsys, tmp_path):
         f = write(tmp_path, "f.s1s", "X sub Y\n")

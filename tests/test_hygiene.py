@@ -1,6 +1,7 @@
 """Every module-level import of a package module is used by that module,
-every module-level private name is read somewhere in the package, and no
-function of the package calls itself.
+every private module-level name, and every private method and slot of a
+module-level class, is read somewhere in the package, and no function of
+the package calls itself.
 
 No linter runs on this repository, so these scans keep dead imports and
 dead private helpers from accumulating.  The import scan skips the
@@ -33,18 +34,47 @@ def unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in bound.items() if name not in read)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.Module):
+    """(line, name, node) of each module-level function, class or
+    constant, and of each method and __slots__ entry of a module-level
+    class; node is the definition whose own reads do not count."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.lineno, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield node.lineno, t.id, node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, FUNCTIONS):
+                yield item.lineno, item.name, item
+            elif isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                for entry in ast.walk(item.value):
+                    if isinstance(entry, ast.Constant) and isinstance(entry.value, str):
+                        yield entry.lineno, entry.value, item
+
+
 def unread_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
-    """(module, line, name) of each module-level function, class or
-    constant whose name starts with one underscore and that no module
-    reads, not counting reads inside its own definition.  A read is a
-    loaded name, an attribute or a from-import."""
+    """(module, line, name) of each definition (see definitions) whose
+    name starts with one underscore and that no module reads, not
+    counting reads inside its own definition.  A read is a loaded name, a
+    loaded attribute or a from-import, so a slot that is only ever
+    assigned counts as unread."""
 
     def reads(node: ast.AST) -> list[str]:
         out = []
         for n in ast.walk(node):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 out.append(n.id)
-            elif isinstance(n, ast.Attribute):
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 out.append(n.attr)
             elif isinstance(n, ast.ImportFrom):
                 out.extend(alias.name for alias in n.names)
@@ -56,19 +86,10 @@ def unread_private_names(trees: dict[str, ast.Module]) -> list[tuple[str, int, s
             total[name] = total.get(name, 0) + 1
     found = []
     for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            own = reads(node)
-            for name in names:
-                private = name.startswith("_") and not name.startswith("__")
-                if private and total.get(name, 0) == own.count(name):
-                    found.append((module, node.lineno, name))
+        for line, name, node in definitions(tree):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and total.get(name, 0) == reads(node).count(name):
+                found.append((module, line, name))
     return sorted(found)
 
 
@@ -90,6 +111,25 @@ def test_scan_finds_unread_private_names():
     }
     trees = {name: ast.parse(text) for name, text in sources.items()}
     assert unread_private_names(trees) == [("a", 2, "_DEAD"), ("a", 5, "_recursive")]
+
+
+def test_scan_finds_unread_private_members():
+    source = (
+        "class Box:\n"
+        "    __slots__ = ('value', '_cache',\n"
+        "                 '_dead')\n"
+        "    def __init__(self):\n"
+        "        self._cache = {}\n"
+        "        self._dead = None\n"
+        "    def _get(self):\n"
+        "        return self._cache\n"
+        "    def _unused(self):\n"
+        "        return self._unused()\n"
+        "    def public(self):\n"
+        "        return self._get()\n"
+    )
+    trees = {"a": ast.parse(source)}
+    assert unread_private_names(trees) == [("a", 3, "_dead"), ("a", 9, "_unused")]
 
 
 def test_package_reads_its_private_names():
@@ -119,9 +159,6 @@ def test_package_modules_are_found():
 def test_module_uses_its_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
-
-
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def own_nodes(node: ast.AST):
