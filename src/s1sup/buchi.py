@@ -133,6 +133,7 @@ class BuchiNfa:
     def successors(self, p: int, a: int) -> tuple[int, ...]:
         if not (0 <= a < self.alphabet_size):
             raise ValueError(f"letter {a} out of range")
+        _check_states(self, p)
         return self._class_rows[self._letter_class[a]][p]
 
     @property
@@ -212,6 +213,12 @@ def letter_relation(A: BuchiNfa, a: int) -> tuple[int, ...]:
     return A._masks(A._letter_class[a])
 
 
+def _check_states(A: BuchiNfa, *states: int) -> None:
+    for s in states:
+        if not (0 <= s < A.state_count):
+            raise ValueError(f"state {s} out of range")
+
+
 def _mask_image(rows: Sequence[int], frontier: int) -> int:
     out = 0
     m = frontier
@@ -226,6 +233,7 @@ def trans(A: BuchiNfa, p: int, w: Sequence[int], q: int) -> bool:
     """Is there a w-labeled path from p to q?  w must be nonempty."""
     if not w:
         raise ValueError("trans needs a nonempty word")
+    _check_states(A, p, q)
     frontier = 1 << p
     for a in w:
         frontier = _mask_image(letter_relation(A, a), frontier)
@@ -239,6 +247,7 @@ def transa(A: BuchiNfa, p: int, w: Sequence[int], q: int) -> bool:
     position other than the last one.  w must be nonempty."""
     if not w:
         raise ValueError("transa needs a nonempty word")
+    _check_states(A, p, q)
     acc_mask = sum(1 << s for s in A.accepting)
     reach = 1 << p
     reach_acc = reach & acc_mask
@@ -271,39 +280,14 @@ class Match:
         return UpWord(self.stem, self.loop)
 
 
-def _layered_bfs(A: BuchiNfa, sources: Iterable[int]):
-    """Parent-pointer BFS.  States expand layer by layer in ascending order
-    and letters in ascending order, first visit wins, so the parent tree is
-    deterministic."""
-    parent: dict[int, tuple[int, int] | None] = {}
-    dist: dict[int, int] = {}
-    frontier = sorted(set(sources))
-    for s in frontier:
-        parent[s] = None
-        dist[s] = 0
-    d = 0
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for c, rows in enumerate(A._class_rows):
-                a = A._class_first_letter[c]
-                for q in rows[p]:
-                    if q not in parent:
-                        parent[q] = (p, a)
-                        dist[q] = d + 1
-                        nxt.append(q)
-        frontier = sorted(set(nxt))
-        d += 1
-    return parent, dist
-
-
-def _adjacency(A: BuchiNfa, nodes: Iterable[int]) -> dict[int, tuple[int, ...]]:
-    adj = {}
-    for p in nodes:
+def _adjacency(A: BuchiNfa) -> list[tuple[int, ...]]:
+    """Per state, its successors over all letter classes, ascending."""
+    adj = []
+    for p in range(A.state_count):
         seen = set()
         for rows in A._class_rows:
             seen.update(rows[p])
-        adj[p] = tuple(sorted(seen))
+        adj.append(tuple(sorted(seen)))
     return adj
 
 
@@ -313,8 +297,9 @@ def _strongly_connected(nodes: Sequence, succ: Callable):
     cycle (size above one, or a self loop).
 
     A component is numbered only after every component it reaches, and
-    the map lists the nodes in component order.  membership_up and _trim
-    rely on both."""
+    the map lists the nodes in component order.  _trim relies on both;
+    the other callers (find_match, _word_graph, is_weak and
+    complement._compatible_from) read only the components and flags."""
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
@@ -368,76 +353,77 @@ def _strongly_connected(nodes: Sequence, succ: Callable):
     return comp, has_cycle
 
 
-def find_match(A: BuchiNfa) -> Match | None:
-    """Deterministic accepting lasso search.
-
-    Reachability runs breadth first with parent pointers; among accepting
-    states inside a cyclic strongly connected component the anchor with the
-    smallest (distance, index) wins; the loop is the shortest cycle through
-    the anchor.  Returns None when the language is empty.
-    """
-    if A.state_count == 0 or not A.initial:
-        return None
-    parent, dist = _layered_bfs(A, A.initial)
-    adj = _adjacency(A, parent)
-    comp, has_cycle = _strongly_connected(sorted(parent), lambda n: adj[n])
-    candidates = [
-        f for f in A.accepting if f in parent and has_cycle[comp[f]]
-    ]
-    if not candidates:
-        return None
-    anchor = min(candidates, key=lambda f: (dist[f], f))
-    loop_word, loop_path = _shortest_loop(A, anchor)
-    stem_word: list[int] = []
-    stem_path = [anchor]
-    node = anchor
-    while parent[node] is not None:
-        pp, aa = parent[node]
-        stem_word.append(aa)
-        stem_path.append(pp)
-        node = pp
-    stem_word.reverse()
-    stem_path.reverse()
-    if not stem_word:
-        return Match(loop_word, loop_word, loop_path, loop_path)
-    return Match(tuple(stem_word), loop_word, tuple(stem_path), loop_path)
-
-
-def _shortest_loop(A: BuchiNfa, anchor: int):
-    """Shortest nonempty anchor-to-anchor path, deterministic tie breaks."""
-    parent: dict[int, tuple[int, int]] = {}
-    frontier = [anchor]
-    first_hit: tuple[int, int] | None = None
-    while frontier and first_hit is None:
+def _bfs(sources: Iterable[int], edges: Callable, stop: int | None = None):
+    """Parent-pointer BFS: layers in ascending node order, each node's
+    (label, target) edges in the order edges lists them, first visit wins.
+    Returns (parent, dist, hit): parent[v] is v's (predecessor, label), or
+    None for a source, and hit the first edge (predecessor, label) into
+    stop, where the search ends, or None."""
+    frontier = sorted(set(sources))
+    parent: dict[int, tuple[int, int] | None] = dict.fromkeys(frontier)
+    dist = dict.fromkeys(frontier, 0)
+    d = 0
+    while frontier:
+        d += 1
         nxt = []
         for p in frontier:
-            for c, rows in enumerate(A._class_rows):
-                a = A._class_first_letter[c]
-                for q in rows[p]:
-                    if q == anchor:
-                        first_hit = (p, a)
-                        break
-                    if q not in parent and q != anchor:
-                        parent[q] = (p, a)
-                        nxt.append(q)
-                if first_hit:
-                    break
-            if first_hit:
-                break
-        frontier = sorted(set(nxt))
-    if first_hit is None:
-        raise AssertionError("anchor is not on a cycle")
-    p, a = first_hit
-    word = [a]
-    path = [p]
-    while p != anchor:
-        pp, aa = parent[p]
-        word.append(aa)
-        path.append(pp)
-        p = pp
-    word.reverse()
-    path.reverse()
-    return tuple(word), tuple(path + [anchor])
+            for a, q in edges(p):
+                if q == stop:
+                    return parent, dist, (p, a)
+                if q not in parent:
+                    parent[q] = (p, a)
+                    dist[q] = d
+                    nxt.append(q)
+        frontier = sorted(nxt)
+    return parent, dist, None
+
+
+def _path(parent, node: int) -> tuple[list[int], list[int]]:
+    """Labels and nodes of the parent-tree path from a source to node."""
+    word, path = [], [node]
+    while parent[node] is not None:
+        node, a = parent[node]
+        word.append(a)
+        path.append(node)
+    return word[::-1], path[::-1]
+
+
+def _lasso(sources: Iterable[int], edges: Callable, anchors: Iterable[int], n: int) -> Match:
+    """The stem is the BFS path from sources to the anchor with the
+    smallest (distance, node), the loop the shortest cycle through that
+    anchor.  Anchors are reachable and on cycles; node v has state v % n."""
+    parent, dist, _ = _bfs(sources, edges)
+    anchor = min(anchors, key=lambda v: (dist[v], v))
+    stem, stem_path = _path(parent, anchor)
+    loop_parent, _, (p, a) = _bfs([anchor], edges, stop=anchor)
+    loop, loop_path = _path(loop_parent, p)
+    loop.append(a)
+    loop_path.append(anchor)
+    if not stem:
+        stem, stem_path = loop, loop_path
+    stem_states, loop_states = (tuple(v % n for v in path) for path in (stem_path, loop_path))
+    return Match(tuple(stem), tuple(loop), stem_states, loop_states)
+
+
+def find_match(A: BuchiNfa) -> Match | None:
+    """Deterministic accepting lasso, or None when the language is empty.
+
+    One _strongly_connected pass from the initial states finds the
+    accepting states on reachable cycles, as in _trim.  Only then does
+    _lasso run, over edges per letter class in class order, each labeled
+    with the class's first letter."""
+    if not A.initial:
+        return None
+    comp, has_cycle = _strongly_connected(sorted(A.initial), _adjacency(A).__getitem__)
+    anchors = [f for f in A.accepting if f in comp and has_cycle[comp[f]]]
+    if not anchors:
+        return None
+    first, class_rows = A._class_first_letter, A._class_rows
+
+    def edges(p):
+        return [(first[c], q) for c, rows in enumerate(class_rows) for q in rows[p]]
+
+    return _lasso(A.initial, edges, anchors, A.state_count)
 
 
 def is_satisfiable(A: BuchiNfa) -> bool:
@@ -516,13 +502,13 @@ def union(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     return _union_many([A, B], A.alphabet_size)
 
 
-def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> tuple[BuchiNfa, list[int]]:
+def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> BuchiNfa:
     """The part of A x B reachable from the initial pairs.
 
     A pair carries the code (flag * nA + p) * nB + q, and the states are
     numbered in ascending code order, so the result is the reachable part
-    of the full product renumbered monotonically.  Returns the automaton
-    and its list of codes, state i having code codes[i].
+    of the full product renumbered monotonically.  intersection and
+    product_weak are its two callers.
 
     Without the flag, accepting states are accepting pairs.  With it, the
     flag arms when leaving an accepting B state and resets when leaving an
@@ -573,10 +559,9 @@ def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> tuple[BuchiNfa, list[in
         accepting = [i for i, x in enumerate(codes) if x >= size and x // nB - nA in acc_a]
     else:
         accepting = [i for i, x in enumerate(codes) if x // nB in acc_a and x % nB in acc_b]
-    prod = BuchiNfa._make(
+    return BuchiNfa._make(
         len(codes), A.alphabet_size, letter_class, class_rows, map(get, start), accepting
     )
-    return prod, codes
 
 
 def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
@@ -588,9 +573,11 @@ def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     product state recurs exactly when both components visit their accepting
     sets infinitely often, so the language is the intersection.  Only the
     pairs reachable from the initial pairs are built, numbered in ascending
-    order of the code (flag * nA + p) * nB + q.
+    order of the code (flag * nA + p) * nB + q.  Membership of one UP word
+    needs no product: membership_up and match_for_up search the word's run
+    graph directly.
     """
-    return _product(A, B, True)[0]
+    return _product(A, B, True)
 
 
 def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
@@ -628,68 +615,58 @@ def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
 
 # -- membership of ultimately periodic words -----------------------------------
 
-def _check_word_alphabet(A: BuchiNfa, sigma: UpWord):
-    for a in itertools.chain(sigma.prefix, sigma.period):
+def _word_graph(A: BuchiNfa, sigma: UpWord):
+    """(edges, anchors) of the graph of A's runs over x.y^omega = sigma.
+
+    Node v = i * n + p is state p at position i of x.y; it steps by the
+    i-th letter to position i + 1, and y's last position steps back to
+    y's first.  The prefix is stepped as a set of states, then one
+    _strongly_connected pass runs from the nodes it reaches; every cycle
+    lies in y's positions.  edges(v) lists v's (letter, target) edges, and
+    anchors are the nodes with accepting states in cyclic components, all
+    reachable from the initial states at position 0.  A accepts sigma iff
+    there is an anchor."""
+    word = sigma.prefix + sigma.period
+    for a in word:
         if not (0 <= a < A.alphabet_size):
-            raise AlphabetMismatch(
-                f"letter {a} outside alphabet of size {A.alphabet_size}"
-            )
-
-
-def membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
-    """Does A accept the expansion of sigma?
-
-    The prefix is stepped as a set of states.  The period then spans a
-    graph on the nodes v = t * n + p, period position t and state p, where
-    position t steps by the t-th period letter to position (t + 1) mod
-    |period|.  Every cycle of a run over sigma's period lies in the part
-    of that graph reachable from the states after the prefix, at position
-    0.  A accepts exactly when a cyclic component of that part holds a
-    node whose state is accepting, which one _strongly_connected pass from
-    those states decides.
-    """
-    _check_word_alphabet(A, sigma)
-    if A.state_count == 0 or not A.initial or not A.accepting:
-        return False
+            raise AlphabetMismatch(f"letter {a} outside alphabet of size {A.alphabet_size}")
+    if not A.initial or not A.accepting:
+        return None, []
     current = set(A.initial)
     for a in sigma.prefix:
         rows = A._class_rows[A._letter_class[a]]
         current = {q for p in current for q in rows[p]}
         if not current:
-            return False
+            return None, []
     n = A.state_count
-    ny = len(sigma.period)
-    period_rows = [A._class_rows[A._letter_class[a]] for a in sigma.period]
+    nx, last = len(sigma.prefix), len(word) - 1
+    word_rows = [A._class_rows[A._letter_class[a]] for a in word]
 
     def succ(v):
-        t, p = divmod(v, n)
-        base = (t + 1) % ny * n
-        return [base + q for q in period_rows[t][p]]
+        i, p = divmod(v, n)
+        base = (i + 1 if i < last else nx) * n
+        return [base + q for q in word_rows[i][p]]
 
-    comp, has_cycle = _strongly_connected(sorted(current), succ)
+    def edges(v):
+        return [(word[v // n], q) for q in succ(v)]
+
+    comp, has_cycle = _strongly_connected(sorted(nx * n + p for p in current), succ)
     acc = A.accepting
-    return any(has_cycle[c] for v, c in comp.items() if v % n in acc)
+    return edges, [v for v, c in comp.items() if has_cycle[c] and v % n in acc]
+
+
+def membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
+    """Does A accept the expansion of sigma?  Decided by _word_graph."""
+    return bool(_word_graph(A, sigma)[1])
 
 
 def match_for_up(A: BuchiNfa, sigma: UpWord) -> Match | None:
-    """A concrete accepting lasso of A over sigma's expansion, or None.
-
-    Runs the witness search on intersection's reachable product with the
-    exact-word automaton, and projects the paths back to A through the
-    product's codes (flag * nA + p) * nB + q.
-    """
-    _check_word_alphabet(A, sigma)
-    word_aut = exact_up_nfa(sigma, A.alphabet_size)
-    prod, codes = _product(A, word_aut, True)
-    m = find_match(prod)
-    if m is None:
-        return None
-    nA, nB = A.state_count, word_aut.state_count
-
-    def proj(path: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(codes[node] // nB % nA for node in path)
-
-    return Match(m.stem, m.loop, proj(m.stem_path), proj(m.loop_path))
+    """An accepting lasso of A over sigma's expansion, or None: _lasso on
+    _word_graph from the initial states at position 0.  The stem reaches
+    the nearest accepting node on a cycle, the loop is the shortest cycle
+    through it, and the paths are the nodes' states."""
+    edges, anchors = _word_graph(A, sigma)
+    return _lasso(A.initial, edges, anchors, A.state_count) if anchors else None
 
 
 # -- language preserving reductions (internal) ----------------------------------
@@ -708,7 +685,7 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     """
     if A.state_count == 0:
         return A
-    adj = _adjacency(A, range(A.state_count))
+    adj = _adjacency(A)
     comp, has_cycle = _strongly_connected(sorted(A.initial), adj.__getitem__)
     live = [False] * len(has_cycle)
     acc = A.accepting
@@ -752,7 +729,7 @@ def is_weak(A: BuchiNfa) -> bool:
     inside accepting states, so the Buchi and co-Buchi readings coincide.
     """
     n = A.state_count
-    adj = _adjacency(A, range(n))
+    adj = _adjacency(A)
     comp, _ = _strongly_connected(range(n), adj.__getitem__)
     flags: dict[int, bool] = {}
     for s in range(n):
@@ -881,7 +858,7 @@ def product_weak(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     states, and confinement holds in the product iff it holds in both
     parts.  Unlike intersection it keeps weak automata weak.
     """
-    return _product(A, B, False)[0]
+    return _product(A, B, False)
 
 
 def _universal(alphabet_size: int) -> BuchiNfa:

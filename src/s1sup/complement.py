@@ -263,38 +263,21 @@ def compatible(A: BuchiNfa, kind: Kind) -> bool:
 
 def _compatible_from(A: BuchiNfa, start: int, w: Color) -> bool:
     """compatible(A, (v, w)) for any v with _initial_image(A, v) == start:
-    the verdict reads v only through that mask."""
-    n = A.state_count
-    seen = start
-    work = start
-    while work:
-        img = 0
-        m = work
-        while m:
-            q = (m & -m).bit_length() - 1
-            img |= w.reach[q]
-            m &= m - 1
-        work = img & ~seen
-        seen |= work
-    if not seen:
+    the verdict reads v only through that mask.  One _strongly_connected
+    pass from start's states over w steps walks the states w blocks reach;
+    A accepts a word of the kind iff a w step inside a cyclic component
+    passes through an accepting state."""
+    if not start:
         return False
-    nodes = [q for q in range(n) if seen >> q & 1]
-    node_set = set(nodes)
-
-    def succ(p):
-        return [q for q in range(n) if w.reach[p] >> q & 1 and q in node_set]
-
-    comp, has_cycle = _strongly_connected(nodes, succ)
-    for p in nodes:
-        if not has_cycle[comp[p]]:
-            continue
-        m = w.reach_acc[p]
-        while m:
-            q = (m & -m).bit_length() - 1
-            m &= m - 1
-            if q in node_set and comp.get(q) == comp[p]:
-                return True
-    return False
+    n = A.state_count
+    succ = [[q for q in range(n) if mask >> q & 1] for mask in w.reach]
+    comp, has_cycle = _strongly_connected(
+        [q for q in range(n) if start >> q & 1], succ.__getitem__
+    )
+    return any(
+        has_cycle[c] and any(w.reach_acc[p] >> q & 1 and comp[q] == c for q in succ[p])
+        for p, c in comp.items()
+    )
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from s1sup import buchi, logic
 from s1sup.buchi import (
     AlphabetMismatch,
     BuchiNfa,
+    Match,
     complement_deterministic,
     complement_flip,
     complement_weak,
@@ -101,6 +102,27 @@ def test_transa_two_state_chain():
     A = BuchiNfa(2, 1, [(0, 0, 1), (1, 0, 0)], [0], [1])
     assert transa(A, 0, [0, 0], 0)
     assert not transa(A, 0, [0], 1)
+
+
+def test_successors_rejects_states_out_of_range():
+    A = inf_ones()
+    for p in (-1, 2):
+        with pytest.raises(ValueError, match=f"state {p} out of range"):
+            A.successors(p, 0)
+
+
+def test_trans_rejects_states_out_of_range():
+    A = inf_ones()
+    for p, q in ((-1, 0), (0, 2), (5, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            trans(A, p, [1], q)
+
+
+def test_transa_rejects_states_out_of_range():
+    A = inf_ones()
+    for p, q in ((0, 5), (-1, 1), (2, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            transa(A, p, [1], q)
 
 
 def test_trans_composes_letter_relations():
@@ -321,7 +343,11 @@ def test_membership_property(case):
     A, sigma = case
     got = membership_up(A, sigma)
     assert got == naive_membership_up(A, sigma)
-    assert got == (match_for_up(A, sigma) is not None)
+    m = match_for_up(A, sigma)
+    assert got == (m is not None)
+    if m is not None:
+        validate_match(A, m)
+        assert up_equiv(m.word(), sigma)
 
 
 # -- match extraction for members --------------------------------------------
@@ -346,7 +372,19 @@ def test_match_for_up_inf_ones():
     validate_match(inf_ones(), m)
 
 
+def test_match_for_up_takes_the_nearest_accepting_node():
+    # the stem stops at the first accepting node on a cycle of the run
+    # graph, and the loop is the shortest cycle through it
+    m = match_for_up(inf_ones(), UpWord((0,), (1,)))
+    assert m == Match((0, 1), (1,), (0, 0, 1), (1, 1))
+    m = match_for_up(inf_ones(), UpWord((1, 1), (1, 0, 1)))
+    assert (m.stem, m.loop) == ((1, 1), (1, 0, 1))
+    validate_match(inf_ones(), m)
+
+
 def test_match_for_up_equivalence_random():
+    # a lasso of the run graph visits each of its nodes (word position,
+    # state) once: the loop stays in the period's positions
     rng = random.Random(422)
     hits = 0
     for _ in range(200):
@@ -358,6 +396,9 @@ def test_match_for_up_equivalence_random():
             hits += 1
             validate_match(A, m)
             assert up_equiv(m.word(), sigma)
+            n = A.state_count
+            assert len(m.loop) <= len(sigma.period) * n
+            assert len(m.stem) < (len(sigma.prefix) + len(sigma.period)) * n
     assert hits > 20
 
 

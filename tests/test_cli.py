@@ -664,6 +664,16 @@ class TestEmptyMember:
         assert lines[0] == "MEMBER"
         assert up_equiv(parse_up_word(lines[1]), parse_up_word("(0 3|2 0)"))
 
+    def test_member_witness_stem_stops_at_the_first_accepting_cycle(self, capsys, tmp_path):
+        # the words with infinitely many 1s; state 1 has just read a 1
+        a = write(
+            tmp_path,
+            "inf_ones.nfa",
+            "nfa 2 2\ninitial 0\naccepting 1\n"
+            "trans 0 0 0\ntrans 0 1 1\ntrans 1 0 0\ntrans 1 1 1\n",
+        )
+        assert run_cli(capsys, "member", a, "0 | 1") == (0, "MEMBER\nup 0 1 | 1\n", "")
+
     def test_member_rejects(self, capsys, tmp_path):
         f = write(tmp_path, "f.s1s", "X sub Y\n")
         a = str(tmp_path / "a.nfa")

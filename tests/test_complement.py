@@ -327,15 +327,34 @@ def test_compatible_inf_ones_zero_kind():
     assert not compatible(A, (z, z))
 
 
-def test_compatible_equals_product_emptiness():
-    # the fast relational check must agree with the defining construction
+def compatible_cases():
+    """(A, kind) pairs: 250 automata of up to 3 states, then 100 of 4-5
+    states, whose masks span more bits, every fifth without an initial
+    state, so that the start of the search is empty."""
     rng = random.Random(450)
     for _ in range(250):
         A = random_buchi(rng, 3, 2)
         cs = realizable_colors(A)
-        v, w = rng.choice(cs), rng.choice(cs)
-        via_product = is_satisfiable(intersection(kind_nfa(A, (v, w)), A))
-        assert compatible(A, (v, w)) == via_product
+        yield A, (rng.choice(cs), rng.choice(cs))
+    rng = random.Random(451)
+    for k in range(100):
+        A = random_buchi(rng, 5, 2)
+        while A.state_count < 4:
+            A = random_buchi(rng, 5, 2)
+        if k % 5 == 0:
+            A = BuchiNfa(A.state_count, 2, A.transitions, [], A.accepting)
+        cs = realizable_colors(A)
+        yield A, (rng.choice(cs), rng.choice(cs))
+
+
+def test_compatible_equals_product_emptiness():
+    # the fast relational check must agree with the defining construction
+    verdicts = []
+    for A, kind in compatible_cases():
+        via_product = is_satisfiable(intersection(kind_nfa(A, kind), A))
+        assert compatible(A, kind) == via_product
+        verdicts.append(via_product)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 # -- complement ------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Every module-level import of a package module is used by that module,
 every private module-level name, and every private method and slot of a
-module-level class, is read somewhere in the package, and no function of
-the package calls itself.
+module-level class, is read somewhere in the package, no function of the
+package calls itself, and every function the benchmark tracer times by
+name is a module-level function of the package.
 
 No linter runs on this repository, so these scans keep dead imports and
 dead private helpers from accumulating.  The import scan skips the
 package's __init__.py: its imports are the public re-exports.  The
 recursion scan keeps input depth from reaching the interpreter's
-recursion limit: every walk over a tree uses an explicit stack.
+recursion limit: every walk over a tree uses an explicit stack.  The
+timed-function scan makes a rename or a deletion of a traced function
+fail the suite rather than a benchmark run.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "s1sup"
+SPANS = PACKAGE.parent.parent / "perfbench" / "spans.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -265,3 +269,34 @@ def test_scan_finds_recursion():
 def test_module_has_no_recursion(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert recursive_functions(tree) == []
+
+
+def missing_timed(spans: ast.Module, modules: dict[str, ast.Module]) -> list[tuple[str, str]]:
+    """The (module, function) pairs of spans' module-level TIMED tuple
+    that are not module-level functions of modules[module]."""
+    (timed,) = [
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TIMED" for t in node.targets)
+    ]
+    missing = []
+    for module, name in timed:
+        tree = modules.get(module, ast.Module(body=[], type_ignores=[]))
+        if name not in {n.name for n in tree.body if isinstance(n, FUNCTIONS)}:
+            missing.append((module, name))
+    return missing
+
+
+def test_scan_finds_missing_timed_functions():
+    spans = ast.parse('TIMED = (("a", "kept"), ("a", "Box"), ("a", "gone"), ("b", "f"))\n')
+    modules = {"a": ast.parse("def kept():\n    pass\nclass Box:\n    def gone(self):\n        pass\n")}
+    assert missing_timed(spans, modules) == [("a", "Box"), ("a", "gone"), ("b", "f")]
+
+
+def test_timed_functions_are_package_functions():
+    modules = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in MODULES
+    }
+    spans = ast.parse(SPANS.read_text(encoding="utf-8"), filename=str(SPANS))
+    assert missing_timed(spans, modules) == []
