@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class BuchiNfa:
         "_class_first_letter",
         "_transitions",
         "_mask_cache",
+        "_weak",
     )
 
     def __init__(
@@ -113,6 +114,7 @@ class BuchiNfa:
         self._class_first_letter = tuple(new_first)
         self._transitions = None
         self._mask_cache = {}
+        self._weak = None
 
     @classmethod
     def _make(cls, state_count, alphabet_size, letter_class, class_rows, initial, accepting):
@@ -727,16 +729,18 @@ def is_weak(A: BuchiNfa) -> bool:
 
     On such automata a run is accepting exactly when it eventually stays
     inside accepting states, so the Buchi and co-Buchi readings coincide.
+    The answer is kept on A, so the translation's negations and products,
+    which all ask it of the same operands, pay for one SCC pass each.
     """
-    n = A.state_count
-    adj = _adjacency(A)
-    comp, _ = _strongly_connected(range(n), adj.__getitem__)
-    flags: dict[int, bool] = {}
-    for s in range(n):
-        f = s in A.accepting
-        if flags.setdefault(comp[s], f) != f:
-            return False
-    return True
+    if A._weak is None:
+        adj = _adjacency(A)
+        comp, _ = _strongly_connected(range(A.state_count), adj.__getitem__)
+        flags: dict[int, bool] = {}
+        A._weak = all(
+            flags.setdefault(comp[s], s in A.accepting) == (s in A.accepting)
+            for s in range(A.state_count)
+        )
+    return A._weak
 
 
 def complement_deterministic(A: BuchiNfa) -> BuchiNfa:
@@ -1078,17 +1082,17 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     successor per class and the quotient at most one initial state, so
     there is nothing to prune: both routes give the same automaton, with
     blocks numbered by first member.  On the Z2 merge compile the
-    largest deterministic inputs, 1,934 and 1,938 states over 32 classes,
-    take 10-31 ms by refinement where the relation took 0.36-0.39 s (2
+    largest deterministic inputs, 1,933 and 1,937 states over 32 classes,
+    take 17-19 ms by refinement where the relation takes 0.38-0.53 s (2
     shared cores).
 
     Deterministic input is reduced at any size.  Nondeterministic
     automata above _SIM_LIMIT states are returned unchanged, since the
-    relation itself is n x n.  The limit of 3000 clears the largest
-    nondeterministic automaton the Z2 merge compile reduces; at 1000
-    that compile ended with 1,619 states instead of 11.  A bound on the
-    packed relation's bytes, part of one budget for every construction,
-    is to replace this state count.
+    relation itself is n x n.  The limit of 3000 is well above the
+    largest nondeterministic automaton the TRIV, LP and Z2 merge
+    compiles reduce, 344 states on Z2.  A bound on the packed relation's
+    bytes, part of one budget for every construction, is to replace this
+    state count.
     """
     n = A.state_count
     if n <= 1:
@@ -1152,13 +1156,24 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
 # -- text formats ---------------------------------------------------------------
 
 
+def _sorted_triples(A: BuchiNfa) -> Iterator[tuple[int, int, int]]:
+    """The transitions (p, a, q) in sorted order, read straight from the
+    class rows: A.transitions would build and keep one triple per letter,
+    state and successor."""
+    for p in range(A.state_count):
+        succ = [sorted(set(rows[p])) for rows in A._class_rows]
+        for a, c in enumerate(A._letter_class):
+            for q in succ[c]:
+                yield p, a, q
+
+
 def format_nfa(A: BuchiNfa) -> str:
     lines = [
         f"nfa {A.state_count} {A.alphabet_size}",
         "initial " + " ".join(str(s) for s in sorted(A.initial)),
         "accepting " + " ".join(str(s) for s in sorted(A.accepting)),
     ]
-    for p, a, q in sorted(A.transitions):
+    for p, a, q in _sorted_triples(A):
         lines.append(f"trans {p} {a} {q}")
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
@@ -1234,10 +1249,10 @@ def format_dot(A: BuchiNfa, name: str = "nfa") -> str:
         shape = "doublecircle" if s in A.accepting else "circle"
         out.append(f'  s{s} [shape={shape}, label="{s}"];')
     by_edge: dict[tuple[int, int], list[int]] = {}
-    for p, a, q in sorted(A.transitions):
+    for p, a, q in _sorted_triples(A):
         by_edge.setdefault((p, q), []).append(a)
     for (p, q), letters in sorted(by_edge.items()):
-        label = ",".join(str(a) for a in sorted(letters))
+        label = ",".join(str(a) for a in letters)
         out.append(f'  s{p} -> s{q} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"

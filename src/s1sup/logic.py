@@ -307,19 +307,25 @@ def atom_incl_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
 
 
 def atom_less_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
-    """Three states: wait for a left position, then wait for a strictly
-    later right position, then loop.
+    """Three states, deterministic and weak: read up to the first left
+    position, then up to the first strictly later right position, then
+    loop.  Some left position has a later right one exactly when the first
+    left position does, so no guess is needed.  Products with the atom
+    keep a deterministic operand deterministic, and _compact reduces them
+    by partition refinement instead of the n x n simulation relation.
 
     Built from its four letter classes, one per value of the left and right
-    bits: the left bit adds 0 -> 1, the right bit adds 1 -> 2."""
+    bits: the left bit moves 0 -> 1, the right bit moves 1 -> 2, and a
+    letter with both bits moves 0 -> 1 only, as a right position must come
+    strictly later."""
     alpha = SetAlphabet(tuple(variables))
     bl, br = alpha.bit(left), alpha.bit(right)
     letter_class = [(a & bl != 0) | (a & br != 0) << 1 for a in range(alpha.size)]
     class_rows = [
         ((0,), (1,), (2,)),
-        ((0, 1), (1,), (2,)),
-        ((0,), (1, 2), (2,)),
-        ((0, 1), (1, 2), (2,)),
+        ((1,), (1,), (2,)),
+        ((0,), (2,), (2,)),
+        ((1,), (2,), (2,)),
     ]
     return BuchiNfa._make(3, alpha.size, letter_class, class_rows, [0], [2])
 
@@ -330,11 +336,11 @@ def _compact(A: BuchiNfa) -> BuchiNfa:
     Each pass preserves the language, and the passes enable each other,
     so they loop.  buchi._sim_reduce takes one of two routes: Moore's
     partition refinement for deterministic automata (the flip
-    complements and products of deterministic operands), at any size,
-    where mutual simulation is bisimilarity and nothing can be pruned,
-    and the n x n simulation relation otherwise, up to buchi._SIM_LIMIT
-    states.  Both give the same automaton on deterministic input, so the
-    route never changes a result.
+    complements, and products of deterministic operands such as both
+    atoms), at any size, where mutual simulation is bisimilarity and
+    nothing can be pruned, and the n x n simulation relation otherwise,
+    up to buchi._SIM_LIMIT states.  Both give the same automaton on
+    deterministic input, so the route never changes a result.
     """
     out = buchi._trim(A)
     while True:
@@ -388,6 +394,9 @@ def translate(
     alphabet.  The automaton accepts exactly the packed interpretations
     satisfying the formula, on ultimately periodic words.
 
+    Both atoms are deterministic and weak, and so are products and flip
+    complements of deterministic weak automata, so every subformula
+    without a quantifier compiles to a deterministic automaton.
     Negations go through _negate, which complements deterministic weak
     intermediates by flipping their acceptance, so those stay
     deterministic.  Intermediate results are trimmed and reduced by

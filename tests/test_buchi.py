@@ -649,6 +649,20 @@ def test_is_weak_is_scc_uniform_acceptance():
     assert seen == {True, False}
 
 
+def test_is_weak_runs_one_scc_pass_per_automaton(monkeypatch):
+    calls = []
+    scc = buchi._strongly_connected
+    monkeypatch.setattr(
+        buchi, "_strongly_connected", lambda *args: calls.append(args) or scc(*args)
+    )
+    for A in (inf_ones(), loop_one(accepting=False)):
+        first = is_weak(A)
+        assert len(calls) == 1
+        assert is_weak(A) == first
+        assert len(calls) == 1
+        calls.clear()
+
+
 # -- language-preserving reductions -------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from oracles import (
 from s1sup.buchi import (
     BuchiNfa,
     find_match,
+    format_dot,
+    format_nfa,
     intersection,
     is_satisfiable,
     membership_up,
@@ -419,6 +422,34 @@ def complement_law_sample() -> tuple[BuchiNfa, ...]:
         for _ in range(50):
             random_up_word(rng, 2, max_pre=3, max_per=3)
     return tuple(out)
+
+
+def test_text_formats_equal_their_rendering_of_sorted_transitions():
+    # the formats read the class rows; the reference renders the cached
+    # transition set, as both formats once did
+    def nfa_reference(A):
+        lines = [
+            f"nfa {A.state_count} {A.alphabet_size}",
+            "initial " + " ".join(map(str, sorted(A.initial))),
+            "accepting " + " ".join(map(str, sorted(A.accepting))),
+        ] + [f"trans {p} {a} {q}" for p, a, q in sorted(A.transitions)]
+        return "\n".join(line.rstrip() for line in lines) + "\n"
+
+    def dot_edges_reference(A):
+        by_edge = {}
+        for p, a, q in sorted(A.transitions):
+            by_edge.setdefault((p, q), []).append(str(a))
+        return [
+            f'  s{p} -> s{q} [label="{",".join(letters)}"];'
+            for (p, q), letters in sorted(by_edge.items())
+        ]
+
+    for A in complement_law_sample():
+        for B in (A, complement(A)):
+            assert format_nfa(B) == nfa_reference(B)
+            lines = format_dot(B).splitlines()
+            edges = [line for line in lines if re.match(r"  s\d+ -> ", line)]
+            assert edges == dot_edges_reference(B)
 
 
 def test_complement_stats_count_proper_kinds_by_color_add():

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from oracles import (
+    naive_membership_up,
     naive_models_full,
     random_bit_word,
     random_full_formula,
@@ -140,6 +142,20 @@ def _atom_from_transitions(variables, left, right, less):
         return BuchiNfa(1, 1 << k, loops, [0], [0])
     trips = []
     for a in range(1 << k):
+        # the first left position moves 0 -> 1, and the first right
+        # position after it moves 1 -> 2
+        trips += [(0, a, 1 if a & bl else 0), (1, a, 2 if a & br else 1), (2, a, 2)]
+    return BuchiNfa(3, 1 << k, trips, [0], [2])
+
+
+def _less_guessing_nfa(variables, left, right):
+    # the guessing automaton for the ordering atom: it guesses a left
+    # position and a later right position; a language reference for the
+    # deterministic atom
+    k = len(variables)
+    bl, br = 1 << variables.index(left), 1 << variables.index(right)
+    trips = []
+    for a in range(1 << k):
         trips += [(0, a, 0), (1, a, 1), (2, a, 2)]
         if a & bl:
             trips.append((0, a, 1))
@@ -159,6 +175,57 @@ def test_atoms_from_letter_classes_equal_transition_construction():
                 assert atom_less_nfa(names, left, right) == _atom_from_transitions(
                     names, left, right, less=True
                 ), (k, left, right)
+
+
+def _less_holds(sigma, bl, br):
+    # some left position has a strictly later right position; past the
+    # prefix one period repeats, so two periods decide it
+    n = len(sigma.prefix) + 2 * len(sigma.period)
+    letters = [up_at(sigma, i) for i in range(n)]
+    return any(
+        a & bl and any(b & br for b in letters[i + 1 :]) for i, a in enumerate(letters)
+    )
+
+
+def _words(alphabet):
+    # every word with a prefix and a period of length 1 or 2
+    parts = [w for n in (1, 2) for w in itertools.product(range(alphabet), repeat=n)]
+    return [UpWord(u, v) for u in parts for v in parts]
+
+
+def test_less_atom_is_deterministic_weak_and_accepts_the_guessing_language():
+    rng = random.Random(1400)
+    for k in (1, 2, 3):
+        names = tuple(f"V{i}" for i in range(k))
+        words = _words(1 << k)
+        if k == 3:
+            words = rng.sample(words, 600)
+        for left in names:
+            for right in names:
+                A = atom_less_nfa(names, left, right)
+                assert buchi.is_deterministic(A) and buchi.is_weak(A)
+                G = _less_guessing_nfa(names, left, right)
+                bl, br = 1 << names.index(left), 1 << names.index(right)
+                for sigma in words:
+                    want = _less_holds(sigma, bl, br)
+                    assert naive_membership_up(G, sigma) == want, (left, right, sigma)
+                    assert naive_membership_up(A, sigma) == want, (left, right, sigma)
+                    assert membership_up(A, sigma) == want, (left, right, sigma)
+
+
+def test_products_with_the_less_atom_take_moore_refinement(monkeypatch):
+    # the atom is deterministic, so conjunctions and negations over it stay
+    # deterministic and _compact never builds the simulation relation
+    calls = []
+    relation = buchi._direct_simulation
+    monkeypatch.setattr(
+        buchi, "_direct_simulation", lambda A: calls.append(A) or relation(A)
+    )
+    XYZ = ("X", "Y", "Z")
+    phi = Not(And(Less("X", "Y"), Not(And(Less("Y", "Z"), Incl("X", "Z")))))
+    A = translate(phi, XYZ)
+    assert calls == []
+    assert buchi.is_deterministic(A)
 
 
 # -- translation ------------------------------------------------------------------
