@@ -46,6 +46,7 @@ class BuchiNfa:
         "_transitions",
         "_mask_cache",
         "_weak",
+        "_det",
     )
 
     def __init__(
@@ -115,6 +116,7 @@ class BuchiNfa:
         self._transitions = None
         self._mask_cache = {}
         self._weak = None
+        self._det = None
 
     @classmethod
     def _make(cls, state_count, alphabet_size, letter_class, class_rows, initial, accepting):
@@ -282,77 +284,73 @@ class Match:
         return UpWord(self.stem, self.loop)
 
 
-def _adjacency(A: BuchiNfa) -> list[tuple[int, ...]]:
+def _adjacency(A: BuchiNfa) -> list[list[int]]:
     """Per state, its successors over all letter classes, ascending."""
-    adj = []
-    for p in range(A.state_count):
-        seen = set()
-        for rows in A._class_rows:
-            seen.update(rows[p])
-        adj.append(tuple(sorted(seen)))
-    return adj
+    if not A._class_rows:
+        return [[] for _ in range(A.state_count)]
+    return [sorted(set().union(*rows)) for rows in zip(*A._class_rows)]
 
 
-def _strongly_connected(nodes: Sequence, succ: Callable):
-    """Iterative Tarjan over the nodes reachable from nodes.  Returns a map
-    node -> component id, and per component id a flag that it contains a
-    cycle (size above one, or a self loop).
+def _strongly_connected(
+    roots: Iterable[int], succ: Callable, size: int
+) -> Iterator[tuple[list[int], bool]]:
+    """Iterative Tarjan (Tarjan, SIAM J. Comput. 1972) over the nodes of
+    0..size-1 reachable from roots.  Yields (members, cyclic) per strongly
+    connected component, each after every component it has an edge into;
+    cyclic means the component holds a cycle (two or more members, or a
+    self loop).
 
-    A component is numbered only after every component it reaches, and
-    the map lists the nodes in component order.  _trim relies on both;
-    the other callers (find_match, _word_graph, is_weak and
-    complement._compatible_from) read only the components and flags."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    comp: dict = {}
-    has_cycle: list[bool] = []
-    counter = itertools.count()
-
-    for root in nodes:
-        if root in index:
+    index and low are lists over the dense nodes, and a node's index turns
+    to done, a value above every index, once its component is yielded, so
+    one lookup tells unvisited, on the stack and done apart.  Self loops
+    are noted while the edges are scanned, so succ is called once per
+    node.  Callers read the components as they come and stop once
+    they know their answer: membership_up at the first anchor of
+    _word_graph, is_weak at the first non-uniform component and
+    complement._compatible_from at the first accepting step inside a
+    cyclic one.  _trim decides liveness per component in the same pass,
+    as every component a component reaches comes before it."""
+    index = [0] * size
+    low = [0] * size
+    done = size + 1
+    looped: set[int] = set()
+    stack: list[int] = []
+    counter = 0
+    for root in roots:
+        if index[root]:
             continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = next(counter)
+        counter += 1
+        index[root] = low[root] = counter
+        # per open node: the node, its edge iterator, its stack position
+        work = [(root, iter(succ(root)), len(stack))]
         stack.append(root)
-        on_stack.add(root)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for child in it:
-                if child not in index:
-                    index[child] = low[child] = next(counter)
+            node, edges, height = work[-1]
+            for child in edges:
+                i = index[child]
+                if not i:
+                    counter += 1
+                    index[child] = low[child] = counter
+                    work.append((child, iter(succ(child)), len(stack)))
                     stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(succ(child))))
-                    advanced = True
                     break
-                if child in on_stack:
-                    if index[child] < low[node]:
-                        low[node] = index[child]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent_node = work[-1][0]
-                if low[node] < low[parent_node]:
-                    low[parent_node] = low[node]
-            if low[node] == index[node]:
-                cid = len(has_cycle)
-                members = []
-                while True:
-                    m = stack.pop()
-                    on_stack.discard(m)
-                    comp[m] = cid
-                    members.append(m)
-                    if m == node:
-                        break
-                cyclic = len(members) > 1 or any(
-                    m in succ(m) for m in members
-                )
-                has_cycle.append(cyclic)
-    return comp, has_cycle
+                if i < low[node]:
+                    low[node] = i
+                elif child == node:
+                    looped.add(node)
+            else:
+                work.pop()
+                lo = low[node]
+                if work:
+                    parent = work[-1][0]
+                    if lo < low[parent]:
+                        low[parent] = lo
+                if lo == index[node]:
+                    members = stack[height:]
+                    del stack[height:]
+                    for m in members:
+                        index[m] = done
+                    yield members, len(members) > 1 or node in looped
 
 
 def _bfs(sources: Iterable[int], edges: Callable, stop: int | None = None):
@@ -410,14 +408,22 @@ def _lasso(sources: Iterable[int], edges: Callable, anchors: Iterable[int], n: i
 def find_match(A: BuchiNfa) -> Match | None:
     """Deterministic accepting lasso, or None when the language is empty.
 
-    One _strongly_connected pass from the initial states finds the
-    accepting states on reachable cycles, as in _trim.  Only then does
-    _lasso run, over edges per letter class in class order, each labeled
-    with the class's first letter."""
+    A full _strongly_connected pass from the initial states collects the
+    accepting states of reachable cyclic components, as the witness reads
+    them all.  Only then does _lasso run, over edges per letter class in
+    class order, each labeled with the class's first letter."""
     if not A.initial:
         return None
-    comp, has_cycle = _strongly_connected(sorted(A.initial), _adjacency(A).__getitem__)
-    anchors = [f for f in A.accepting if f in comp and has_cycle[comp[f]]]
+    acc = A.accepting
+    anchors = [
+        f
+        for members, cyclic in _strongly_connected(
+            sorted(A.initial), _adjacency(A).__getitem__, A.state_count
+        )
+        if cyclic
+        for f in members
+        if f in acc
+    ]
     if not anchors:
         return None
     first, class_rows = A._class_first_letter, A._class_rows
@@ -584,32 +590,28 @@ def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
 
 def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
     """Letter relaxation: for every transition (p, a, q) and every pair
-    (a, b), the transition (p, b, q) is added."""
-    extra: dict[int, set[int]] = {}
+    (a, b), the transition (p, b, q) is added.
+
+    Letter b gets the rows of its own class and of each partner a's class,
+    so its key is the bitmask of those classes, and the rows of each
+    distinct key are built once: the work per letter is one mask update
+    per pair and one dictionary lookup."""
+    size = A.alphabet_size
+    bit = [1 << c for c in A._letter_class]
+    key = bit[:]
     for a, b in pairs:
-        if not (0 <= a < A.alphabet_size and 0 <= b < A.alphabet_size):
+        if not (0 <= a < size and 0 <= b < size):
             raise ValueError(f"pair ({a},{b}) outside the alphabet")
-        extra.setdefault(b, set()).add(A._letter_class[a])
-    group_id: dict[tuple[int, ...], int] = {}
-    letter_class = []
+        key[b] |= bit[a]
+    group_id: dict[int, int] = {}
+    letter_class = [group_id.setdefault(k, len(group_id)) for k in key]
     class_rows = []
-    for b in range(A.alphabet_size):
-        sources = {A._letter_class[b]} | extra.get(b, set())
-        key = tuple(sorted(sources))
-        cid = group_id.get(key)
-        if cid is None:
-            cid = len(class_rows)
-            group_id[key] = cid
-            if len(key) == 1:
-                rows = A._class_rows[key[0]]
-            else:
-                parts = [A._class_rows[c] for c in key]
-                rows = tuple(
-                    tuple(sorted(set(itertools.chain.from_iterable(part[p] for part in parts))))
-                    for p in range(A.state_count)
-                )
-            class_rows.append(rows)
-        letter_class.append(cid)
+    for k in group_id:
+        parts = [rows for c, rows in enumerate(A._class_rows) if k >> c & 1]
+        if len(parts) == 1:
+            class_rows.append(parts[0])
+        else:
+            class_rows.append(tuple(tuple(sorted(set().union(*rows))) for rows in zip(*parts)))
     return BuchiNfa._make(
         A.state_count, A.alphabet_size, letter_class, class_rows, A.initial, A.accepting
     )
@@ -625,21 +627,22 @@ def _word_graph(A: BuchiNfa, sigma: UpWord):
     y's first.  The prefix is stepped as a set of states, then one
     _strongly_connected pass runs from the nodes it reaches; every cycle
     lies in y's positions.  edges(v) lists v's (letter, target) edges, and
-    anchors are the nodes with accepting states in cyclic components, all
-    reachable from the initial states at position 0.  A accepts sigma iff
-    there is an anchor."""
+    anchors is an iterator over the nodes with accepting states in cyclic
+    components, all reachable from the initial states at position 0.  It
+    runs the pass lazily, so a caller that stops at the first anchor
+    stops the pass there.  A accepts sigma iff there is an anchor."""
     word = sigma.prefix + sigma.period
     for a in word:
         if not (0 <= a < A.alphabet_size):
             raise AlphabetMismatch(f"letter {a} outside alphabet of size {A.alphabet_size}")
     if not A.initial or not A.accepting:
-        return None, []
+        return None, iter(())
     current = set(A.initial)
     for a in sigma.prefix:
         rows = A._class_rows[A._letter_class[a]]
         current = {q for p in current for q in rows[p]}
         if not current:
-            return None, []
+            return None, iter(())
     n = A.state_count
     nx, last = len(sigma.prefix), len(word) - 1
     word_rows = [A._class_rows[A._letter_class[a]] for a in word]
@@ -652,14 +655,15 @@ def _word_graph(A: BuchiNfa, sigma: UpWord):
     def edges(v):
         return [(word[v // n], q) for q in succ(v)]
 
-    comp, has_cycle = _strongly_connected(sorted(nx * n + p for p in current), succ)
     acc = A.accepting
-    return edges, [v for v, c in comp.items() if has_cycle[c] and v % n in acc]
+    components = _strongly_connected(sorted(nx * n + p for p in current), succ, len(word) * n)
+    return edges, (v for members, cyclic in components if cyclic for v in members if v % n in acc)
 
 
 def membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
-    """Does A accept the expansion of sigma?  Decided by _word_graph."""
-    return bool(_word_graph(A, sigma)[1])
+    """Does A accept the expansion of sigma?  Decided by _word_graph, whose
+    pass stops at the first anchor."""
+    return next(_word_graph(A, sigma)[1], None) is not None
 
 
 def match_for_up(A: BuchiNfa, sigma: UpWord) -> Match | None:
@@ -668,6 +672,7 @@ def match_for_up(A: BuchiNfa, sigma: UpWord) -> Match | None:
     the nearest accepting node on a cycle, the loop is the shortest cycle
     through it, and the paths are the nodes' states."""
     edges, anchors = _word_graph(A, sigma)
+    anchors = list(anchors)
     return _lasso(A.initial, edges, anchors, A.state_count) if anchors else None
 
 
@@ -680,48 +685,58 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     state is kept.
 
     One _strongly_connected pass from the initial states finds the
-    reachable states.  It numbers a component only after every component
-    it reaches, so one pass over the states in component order marks a
-    component live when it is cyclic with an accepting member, or when it
-    has an edge into a component already marked live.
+    reachable states.  Each component comes after every component it
+    reaches, so it is marked live as it comes when it is cyclic with an
+    accepting member, or when it has an edge into a state already marked
+    live.  The kept states are whole components of that pass, and they
+    are the components of the result, so the pass also tells whether the
+    result is weak, which is kept on it as is_weak would keep it.
     """
     if A.state_count == 0:
         return A
     adj = _adjacency(A)
-    comp, has_cycle = _strongly_connected(sorted(A.initial), adj.__getitem__)
-    live = [False] * len(has_cycle)
+    live = [False] * A.state_count
     acc = A.accepting
-    for s, c in comp.items():
-        if not live[c] and (
-            has_cycle[c] and s in acc or any(live[comp[q]] for q in adj[s])
+    weak = True
+    for members, cyclic in _strongly_connected(sorted(A.initial), adj.__getitem__, A.state_count):
+        if cyclic and not acc.isdisjoint(members) or any(
+            live[q] for s in members for q in adj[s]
         ):
-            live[c] = True
-    keep = sorted(s for s, c in comp.items() if live[c])
+            for s in members:
+                live[s] = True
+            weak = weak and (acc.isdisjoint(members) or acc.issuperset(members))
+    keep = [s for s in range(A.state_count) if live[s]]
     if not keep:
-        return empty_nfa(A.alphabet_size)
-    if len(keep) == A.state_count:
+        out = empty_nfa(A.alphabet_size)
+    elif len(keep) == A.state_count:
         # nothing to cut; the rebuilt automaton would equal A
-        return A
-    new = {s: i for i, s in enumerate(keep)}
-    class_rows = [
-        tuple(tuple(new[q] for q in rows[s] if q in new) for s in keep)
-        for rows in A._class_rows
-    ]
-    return BuchiNfa._make(
-        len(keep),
-        A.alphabet_size,
-        A._letter_class,
-        class_rows,
-        [new[s] for s in A.initial if s in new],
-        [new[s] for s in A.accepting if s in new],
-    )
+        out = A
+    else:
+        new = {s: i for i, s in enumerate(keep)}
+        class_rows = [
+            tuple(tuple(new[q] for q in rows[s] if q in new) for s in keep)
+            for rows in A._class_rows
+        ]
+        out = BuchiNfa._make(
+            len(keep),
+            A.alphabet_size,
+            A._letter_class,
+            class_rows,
+            [new[s] for s in A.initial if s in new],
+            [new[s] for s in A.accepting if s in new],
+        )
+    out._weak = weak
+    return out
 
 
 def is_deterministic(A: BuchiNfa) -> bool:
-    """At most one initial state and one successor per state and letter."""
-    if len(A.initial) > 1:
-        return False
-    return all(len(row) <= 1 for rows in A._class_rows for row in rows)
+    """At most one initial state and one successor per state and letter.
+    The answer is kept on A, as is_weak keeps its own."""
+    if A._det is None:
+        A._det = len(A.initial) <= 1 and all(
+            len(row) <= 1 for rows in A._class_rows for row in rows
+        )
+    return A._det
 
 
 def is_weak(A: BuchiNfa) -> bool:
@@ -729,16 +744,17 @@ def is_weak(A: BuchiNfa) -> bool:
 
     On such automata a run is accepting exactly when it eventually stays
     inside accepting states, so the Buchi and co-Buchi readings coincide.
-    The answer is kept on A, so the translation's negations and products,
-    which all ask it of the same operands, pay for one SCC pass each.
+    The _strongly_connected pass over all states stops at the first
+    component with accepting and non-accepting members.  The answer is
+    kept on A, so the translation's negations and products, which all ask
+    it of the same operands, pay for at most one SCC pass each; _trim
+    sets it on what it returns.
     """
     if A._weak is None:
-        adj = _adjacency(A)
-        comp, _ = _strongly_connected(range(A.state_count), adj.__getitem__)
-        flags: dict[int, bool] = {}
+        n, acc = A.state_count, A.accepting
         A._weak = all(
-            flags.setdefault(comp[s], s in A.accepting) == (s in A.accepting)
-            for s in range(A.state_count)
+            acc.isdisjoint(members) or acc.issuperset(members)
+            for members, _ in _strongly_connected(range(n), _adjacency(A).__getitem__, n)
         )
     return A._weak
 
@@ -1026,7 +1042,8 @@ def _moore_quotient(A: BuchiNfa) -> BuchiNfa:
     and numbers the distinct rows in state order; a round that splits no
     block ends the refinement, after at most n rounds of O(n * classes).
     Numbering rows in state order numbers the blocks by first member, and
-    the quotient is read off those members.
+    the quotient is read off those members.  Returns A itself when no two
+    states merge, as the quotient would then equal A.
     """
     n = A.state_count
     # successor table, n standing for a missing successor; block[n] is the
@@ -1049,6 +1066,8 @@ def _moore_quotient(A: BuchiNfa) -> BuchiNfa:
         if len(ids) == count:
             break
         count = len(ids)
+    if count == n:
+        return A
     first = np.unique(block[:n], return_index=True)[1]
     single = [(b,) for b in range(count)] + [()]
     return BuchiNfa._make(

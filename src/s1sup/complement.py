@@ -248,6 +248,16 @@ def _initial_image(A: BuchiNfa, v: Color) -> int:
     return start
 
 
+def _states(mask: int) -> list[int]:
+    """The states of a bitmask, ascending, in one step per state."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def compatible(A: BuchiNfa, kind: Kind) -> bool:
     """Does A accept some word of this kind?
 
@@ -266,18 +276,19 @@ def _compatible_from(A: BuchiNfa, start: int, w: Color) -> bool:
     the verdict reads v only through that mask.  One _strongly_connected
     pass from start's states over w steps walks the states w blocks reach;
     A accepts a word of the kind iff a w step inside a cyclic component
-    passes through an accepting state."""
+    passes through an accepting state, and the pass stops at the first
+    such step."""
     if not start:
         return False
-    n = A.state_count
-    succ = [[q for q in range(n) if mask >> q & 1] for mask in w.reach]
-    comp, has_cycle = _strongly_connected(
-        [q for q in range(n) if start >> q & 1], succ.__getitem__
-    )
-    return any(
-        has_cycle[c] and any(w.reach_acc[p] >> q & 1 and comp[q] == c for q in succ[p])
-        for p, c in comp.items()
-    )
+    reach, reach_acc = w.reach, w.reach_acc
+    for members, cyclic in _strongly_connected(
+        _states(start), lambda p: _states(reach[p]), A.state_count
+    ):
+        if cyclic:
+            inside = sum(1 << q for q in members)
+            if any(reach_acc[p] & reach[p] & inside for p in members):
+                return True
+    return False
 
 
 @dataclass(frozen=True)

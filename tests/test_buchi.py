@@ -628,25 +628,33 @@ def test_product_with_an_operand_without_initial_state_is_empty(build):
     assert build(inf_ones(), no_start) == empty_nfa(2)
 
 
+def scc_uniform(A):
+    """Acceptance is constant on each Kosaraju component (scc_index)."""
+    edges: dict[int, list[int]] = {}
+    for p, _, q in A.transitions:
+        edges.setdefault(p, []).append(q)
+    comp = scc_index(A.state_count, edges)
+    return all(
+        (p in A.accepting) == (q in A.accepting)
+        for p in range(A.state_count)
+        for q in range(A.state_count)
+        if comp[p] == comp[q]
+    )
+
+
 def test_is_weak_is_scc_uniform_acceptance():
+    # _trim sets the answer on what it returns, from its own pass
     rng = random.Random(431)
     seen = set()
     for k in range(400):
         make = random_weak_buchi if k % 2 else random_buchi
         A = make(rng, 5, 2)
-        edges: dict[int, list[int]] = {}
-        for p, _, q in A.transitions:
-            edges.setdefault(p, []).append(q)
-        comp = scc_index(A.state_count, edges)
-        uniform = all(
-            (p in A.accepting) == (q in A.accepting)
-            for p in range(A.state_count)
-            for q in range(A.state_count)
-            if comp[p] == comp[q]
-        )
+        uniform = scc_uniform(A)
         assert is_weak(A) == uniform
-        seen.add(uniform)
-    assert seen == {True, False}
+        T = buchi._trim(A)
+        assert T._weak == scc_uniform(T)
+        seen.add((uniform, T._weak))
+    assert {u for u, _ in seen} == {t for _, t in seen} == {True, False}
 
 
 def test_is_weak_runs_one_scc_pass_per_automaton(monkeypatch):
@@ -661,6 +669,47 @@ def test_is_weak_runs_one_scc_pass_per_automaton(monkeypatch):
         assert is_weak(A) == first
         assert len(calls) == 1
         calls.clear()
+
+
+def test_strongly_connected_agrees_with_kosaraju():
+    # seeded graphs with self loops, unreachable nodes, repeated roots and
+    # no roots; components are checked against scc_index over the whole
+    # graph, restricted to the nodes the roots reach
+    rng = random.Random(1515)
+    shapes = set()
+    for _ in range(600):
+        n = rng.randint(0, 12)
+        density = rng.choice((0.05, 0.15, 0.35))
+        edges = {p: [q for q in range(n) if rng.random() < density] for p in range(n)}
+        roots = [rng.randrange(n) for _ in range(rng.randint(0, 4))] if n else []
+        got = list(buchi._strongly_connected(roots, edges.__getitem__, n))
+        reach, todo = set(roots), list(roots)
+        while todo:
+            for q in edges[todo.pop()]:
+                if q not in reach:
+                    reach.add(q)
+                    todo.append(q)
+        members = [m for group, _ in got for m in group]
+        assert sorted(members) == sorted(reach)
+        comp = scc_index(n, edges)
+        position = {}
+        for k, (group, cyclic) in enumerate(got):
+            assert {comp[m] for m in group} == {comp[group[0]]}
+            assert len(group) == comp.count(comp[group[0]])
+            assert cyclic == (len(group) > 1 or group[0] in edges[group[0]])
+            position.update(dict.fromkeys(group, k))
+        for p in reach:
+            assert all(position[q] <= position[p] for q in edges[p])
+        shapes.add((bool(roots), len(reach) < n, any(c for _, c in got)))
+    assert shapes >= {(False, True, False), (True, True, True), (True, False, True)}
+
+
+def test_strongly_connected_calls_succ_once_per_reached_node():
+    calls = []
+    succ = {0: [0, 1], 1: [2], 2: [1, 2], 3: [0]}
+    got = list(buchi._strongly_connected([0, 0, 2], lambda v: calls.append(v) or succ[v], 4))
+    assert sorted(calls) == [0, 1, 2]
+    assert [(sorted(group), cyclic) for group, cyclic in got] == [([1, 2], True), ([0], True)]
 
 
 # -- language-preserving reductions -------------------------------------------
@@ -928,6 +977,8 @@ def test_sim_reduce_of_deterministic_automata_matches_naive_quotient(monkeypatch
         R = buchi._sim_reduce(A)
         if A.state_count > 1:
             assert R == _quotient_by_mutual_simulation(A), format_nfa(A)
+        # a quotient that merges nothing is A itself
+        assert (R is A) == (R.state_count == A.state_count)
         assert is_deterministic(R)
         merged += R.state_count < A.state_count
         partial += any(not row for rows in A._class_rows for row in rows)

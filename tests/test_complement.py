@@ -12,6 +12,7 @@ from oracles import (
     naive_membership_up,
     random_buchi,
     random_up_word,
+    scc_index,
 )
 from s1sup.buchi import (
     BuchiNfa,
@@ -20,6 +21,8 @@ from s1sup.buchi import (
     format_nfa,
     intersection,
     is_satisfiable,
+    is_weak,
+    match_for_up,
     membership_up,
     trans,
 )
@@ -422,6 +425,63 @@ def complement_law_sample() -> tuple[BuchiNfa, ...]:
         for _ in range(50):
             random_up_word(rng, 2, max_pre=3, max_per=3)
     return tuple(out)
+
+
+def test_early_exit_verdicts_equal_full_pass_verdicts():
+    # membership_up, is_weak and compatible stop their SCC pass once they
+    # know the answer; each is checked against a verdict read off a full
+    # pass: match_for_up's anchors, and Kosaraju components (scc_index)
+    rng = random.Random(1516)
+    seen = set()
+
+    def full_is_weak(X):
+        edges = {p: set() for p in range(X.state_count)}
+        for rows in X._class_rows:
+            for p, row in enumerate(rows):
+                edges[p].update(row)
+        comp = scc_index(X.state_count, edges)
+        return all(
+            (p in X.accepting) == (q in X.accepting)
+            for p in edges
+            for q in edges[p]
+            if comp[p] == comp[q]
+        )
+
+    def bits(mask):
+        return [q for q, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+    def full_compatible(X, v, w):
+        start = 0
+        for p in X.initial:
+            start |= v.reach[p]
+        edges = {p: bits(mask) for p, mask in enumerate(w.reach)}
+        comp = scc_index(X.state_count, edges)
+        reach = set(bits(start))
+        todo = list(reach)
+        while todo:
+            for q in edges[todo.pop()]:
+                if q not in reach:
+                    reach.add(q)
+                    todo.append(q)
+        return any(
+            w.reach_acc[p] >> q & 1 and comp[p] == comp[q] for p in reach for q in edges[p]
+        )
+
+    for A in complement_law_sample():
+        C = complement(A)
+        for X in (A, C, intersection(A, C)):
+            assert is_weak(X) == full_is_weak(X)
+            for _ in range(3):
+                sigma = random_up_word(rng, 2)
+                verdict = membership_up(X, sigma)
+                assert verdict == (match_for_up(X, sigma) is not None)
+                v, w = (gamma_word(X, random_up_word(rng, 2).period) for _ in range(2))
+                fits = compatible(X, (v, w))
+                assert fits == full_compatible(X, v, w)
+                seen.add(("member", verdict))
+                seen.add(("compatible", fits))
+            seen.add(("weak", is_weak(X)))
+    assert len(seen) == 6
 
 
 def test_text_formats_equal_their_rendering_of_sorted_transitions():
