@@ -43,8 +43,6 @@ class BuchiNfa:
         "_letter_class",
         "_class_rows",
         "_class_first_letter",
-        "_transitions",
-        "_mask_cache",
         "_weak",
         "_det",
     )
@@ -113,8 +111,6 @@ class BuchiNfa:
         self._letter_class = tuple(letter_class)
         self._class_rows = tuple(new_rows)
         self._class_first_letter = tuple(new_first)
-        self._transitions = None
-        self._mask_cache = {}
         self._weak = None
         self._det = None
 
@@ -142,15 +138,13 @@ class BuchiNfa:
 
     @property
     def transitions(self) -> frozenset[tuple[int, int, int]]:
-        if self._transitions is None:
-            trips = []
-            for a in range(self.alphabet_size):
-                rows = self._class_rows[self._letter_class[a]]
-                for p in range(self.state_count):
-                    for q in rows[p]:
-                        trips.append((p, a, q))
-            self._transitions = frozenset(trips)
-        return self._transitions
+        rows = self._class_rows
+        return frozenset(
+            (p, a, q)
+            for a, c in enumerate(self._letter_class)
+            for p, row in enumerate(rows[c])
+            for q in row
+        )
 
     def transition_count(self) -> int:
         per_class = [sum(len(r) for r in rows) for rows in self._class_rows]
@@ -190,17 +184,6 @@ class BuchiNfa:
             f"accepting={sorted(self.accepting)})"
         )
 
-    # -- cached low level views ----------------------------------------------
-
-    def _masks(self, cls: int) -> tuple[int, ...]:
-        got = self._mask_cache.get(cls)
-        if got is None:
-            got = tuple(
-                sum(1 << q for q in row) for row in self._class_rows[cls]
-            )
-            self._mask_cache[cls] = got
-        return got
-
 
 def empty_nfa(alphabet_size: int) -> BuchiNfa:
     """The automaton with no states; accepts nothing."""
@@ -214,7 +197,7 @@ def letter_relation(A: BuchiNfa, a: int) -> tuple[int, ...]:
     """Successor sets of one letter as per-state bitmasks."""
     if not (0 <= a < A.alphabet_size):
         raise ValueError(f"letter {a} out of range")
-    return A._masks(A._letter_class[a])
+    return tuple(sum(1 << q for q in row) for row in A._class_rows[A._letter_class[a]])
 
 
 def _check_states(A: BuchiNfa, *states: int) -> None:
@@ -823,10 +806,13 @@ def complement_flip(A: BuchiNfa) -> BuchiNfa:
 
 
 class BreakpointBudget(RuntimeError):
-    """Breakpoint complement grew past its state allowance."""
+    """Breakpoint complement grew past _BREAKPOINT_LIMIT states."""
 
 
-def complement_weak(A: BuchiNfa, max_states: int = 30000) -> BuchiNfa:
+_BREAKPOINT_LIMIT = 30000
+
+
+def complement_weak(A: BuchiNfa) -> BuchiNfa:
     """Breakpoint complement, exact for weak automata.
 
     Reading a weak automaton as co-Buchi, a word is rejected exactly when
@@ -857,8 +843,8 @@ def complement_weak(A: BuchiNfa, max_states: int = 30000) -> BuchiNfa:
             key = (ns, no)
             j = index.get(key)
             if j is None:
-                if len(order) >= max_states:
-                    raise BreakpointBudget(max_states)
+                if len(order) >= _BREAKPOINT_LIMIT:
+                    raise BreakpointBudget(_BREAKPOINT_LIMIT)
                 j = len(order)
                 index[key] = j
                 order.append(key)
@@ -1177,8 +1163,7 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
 
 def _sorted_triples(A: BuchiNfa) -> Iterator[tuple[int, int, int]]:
     """The transitions (p, a, q) in sorted order, read straight from the
-    class rows: A.transitions would build and keep one triple per letter,
-    state and successor."""
+    class rows."""
     for p in range(A.state_count):
         succ = [sorted(set(rows[p])) for rows in A._class_rows]
         for a, c in enumerate(A._letter_class):
@@ -1259,8 +1244,8 @@ def parse_nfa(text: str) -> BuchiNfa:
     )
 
 
-def format_dot(A: BuchiNfa, name: str = "nfa") -> str:
-    out = [f"digraph {name} {{", "  rankdir=LR;"]
+def format_dot(A: BuchiNfa) -> str:
+    out = ["digraph nfa {", "  rankdir=LR;"]
     for s in sorted(A.initial):
         out.append(f'  start{s} [shape=point, label=""];')
         out.append(f"  start{s} -> s{s};")

@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .buchi import (
+    BuchiNfa,
     find_match,
     format_dot,
     format_nfa,
@@ -78,115 +79,96 @@ def _stat_line(text: str, count: int) -> str:
     return f"{count:>6}  {text}"
 
 
-def cmd_sat(formula_file: str, max_colors: int = DEFAULT_MAX_COLORS) -> Verdict:
-    parsed = parse_formula(_read(formula_file))
+def _save(path: str, aut: BuchiNfa) -> str:
+    """Write aut to path; its size line."""
+    _write(path, format_nfa(aut))
+    return f"states {aut.state_count} alphabet {aut.alphabet_size}"
+
+
+def cmd_sat(args: argparse.Namespace) -> Verdict:
+    parsed = parse_formula(_read(args.formula))
     if parsed.is_full:
         found = sat_full(
             parsed.formula,
             parsed.first_order,
             parsed.second_order,
-            max_colors=max_colors,
+            max_colors=args.max_colors,
         )
     else:
-        found = sat_min(parsed.formula, parsed.variables, max_colors=max_colors)
+        found = sat_min(parsed.formula, parsed.variables, max_colors=args.max_colors)
     if found is None:
         return Verdict("UNSAT")
     return Verdict("SAT", witness=format_interpretation(found))
 
 
-def cmd_check(
-    formula_file: str, interp_file: str, max_colors: int = DEFAULT_MAX_COLORS
-) -> Verdict:
-    parsed = parse_formula(_read(formula_file))
-    interp = parse_interpretation(_read(interp_file))
+def cmd_check(args: argparse.Namespace) -> Verdict:
+    parsed = parse_formula(_read(args.formula))
+    interp = parse_interpretation(_read(args.interp))
     if parsed.is_full:
         ok = models_full_up(
             interp,
             parsed.formula,
             parsed.first_order,
             parsed.second_order,
-            max_colors=max_colors,
+            max_colors=args.max_colors,
         )
     else:
-        ok = models_up(interp, parsed.formula, parsed.variables, max_colors=max_colors)
+        ok = models_up(interp, parsed.formula, parsed.variables, max_colors=args.max_colors)
     return Verdict("MEMBER" if ok else "NONMEMBER")
 
 
-def cmd_compile(
-    formula_file: str,
-    out_file: str,
-    dot_file: str | None = None,
-    max_colors: int = DEFAULT_MAX_COLORS,
-    stats: bool = False,
-) -> Verdict:
-    parsed = parse_formula(_read(formula_file))
+def cmd_compile(args: argparse.Namespace) -> Verdict:
+    parsed = parse_formula(_read(args.formula))
     if parsed.is_full:
         reduced, variables = reduce_full(
             parsed.formula, parsed.first_order, parsed.second_order
         )
     else:
         reduced, variables = parsed.formula, parsed.variables
-    collected: list | None = [] if stats else None
-    aut = translate(reduced, variables, max_colors=max_colors, stats=collected)
-    _write(out_file, format_nfa(aut))
-    if dot_file:
-        _write(dot_file, format_dot(aut))
-    lines = [f"states {aut.state_count} alphabet {aut.alphabet_size}"]
+    collected: list | None = [] if args.stats else None
+    aut = translate(reduced, variables, max_colors=args.max_colors, stats=collected)
+    lines = [_save(args.out, aut)]
+    if args.dot:
+        _write(args.dot, format_dot(aut))
     if collected:
         heads = format_heads(reduced, 73)
         lines.extend(_stat_line(heads[id(node)], count) for node, count in collected)
     return Verdict(None, stats=tuple(lines))
 
 
-def cmd_complement(
-    aut_file: str,
-    out_file: str,
-    max_colors: int = DEFAULT_MAX_COLORS,
-    stats: bool = False,
-) -> Verdict:
-    aut = parse_nfa(_read(aut_file))
-    comp, info = complement_with_stats(aut, max_colors=max_colors)
-    _write(out_file, format_nfa(comp))
-    lines = [f"states {comp.state_count} alphabet {comp.alphabet_size}"]
-    if stats:
-        lines.append(f"colors {info.colors}")
-        lines.append(f"kinds {info.kinds}")
-        lines.append(f"incompatible {info.incompatible}")
-        lines.append(f"proper {info.proper}")
-        lines.append(f"blocks {info.blocks}")
+def cmd_complement(args: argparse.Namespace) -> Verdict:
+    comp, info = complement_with_stats(
+        parse_nfa(_read(args.aut)), max_colors=args.max_colors
+    )
+    lines = [_save(args.out, comp)]
+    if args.stats:
+        lines.extend(f"{name} {count}" for name, count in asdict(info).items())
     return Verdict(None, stats=tuple(lines))
 
 
-def cmd_product(a_file: str, b_file: str, out_file: str) -> Verdict:
-    out = intersection(parse_nfa(_read(a_file)), parse_nfa(_read(b_file)))
-    _write(out_file, format_nfa(out))
-    return Verdict(None, stats=(f"states {out.state_count} alphabet {out.alphabet_size}",))
+def cmd_product_or_union(args: argparse.Namespace) -> Verdict:
+    combine = intersection if args.command == "product" else union
+    out = combine(parse_nfa(_read(args.a)), parse_nfa(_read(args.b)))
+    return Verdict(None, stats=(_save(args.out, out),))
 
 
-def cmd_union(a_file: str, b_file: str, out_file: str) -> Verdict:
-    out = union(parse_nfa(_read(a_file)), parse_nfa(_read(b_file)))
-    _write(out_file, format_nfa(out))
-    return Verdict(None, stats=(f"states {out.state_count} alphabet {out.alphabet_size}",))
-
-
-def cmd_empty(aut_file: str) -> Verdict:
-    m = find_match(parse_nfa(_read(aut_file)))
+def cmd_empty(args: argparse.Namespace) -> Verdict:
+    m = find_match(parse_nfa(_read(args.aut)))
     if m is None:
         return Verdict("UNSAT")
     return Verdict("SAT", witness=format_up_word(m.word()))
 
 
-def cmd_member(aut_file: str, word_text: str) -> Verdict:
-    aut = parse_nfa(_read(aut_file))
-    m = match_for_up(aut, parse_up_word(word_text))
+def cmd_member(args: argparse.Namespace) -> Verdict:
+    m = match_for_up(parse_nfa(_read(args.aut)), parse_up_word(args.word))
     if m is None:
         return Verdict("NONMEMBER")
     return Verdict("MEMBER", witness=format_up_word(m.word()))
 
 
-def cmd_corpus(semigroup_file: str, out_dir: str) -> Verdict:
-    g = parse_semigroup(_read(semigroup_file))
-    out = Path(out_dir)
+def cmd_corpus(args: argparse.Namespace) -> Verdict:
+    g = parse_semigroup(_read(args.semigroup))
+    out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     files = [
         ("merge0.nfa", format_nfa(merge0_nfa(g))),
@@ -200,6 +182,79 @@ def cmd_corpus(semigroup_file: str, out_dir: str) -> Verdict:
     return Verdict(None, stats=tuple(f"wrote {out / name}" for name, _ in files))
 
 
+def _max_colors(text: str) -> int:
+    """The --max-colors value, a nonnegative integer; argparse reports the
+    error with the option's name."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
+# per command: name, handler, help and its arguments as (name, help), in
+# the order --help lists them; options take their settings from _OPTIONS
+_FORMULA = ("formula", "formula file")
+_OUT = ("out", "output automaton file")
+_AUT = ("aut", "automaton file")
+_BUDGET = ("--max-colors", "abort complementation when the color closure exceeds N")
+_FILES = [("a", None), ("b", None), ("out", None)]
+_COMMANDS = (
+    ("sat", cmd_sat, "decide satisfiability of a formula", [_FORMULA, _BUDGET]),
+    (
+        "check",
+        cmd_check,
+        "check an interpretation against a formula",
+        [_FORMULA, ("interp", "interpretation file"), _BUDGET],
+    ),
+    (
+        "compile",
+        cmd_compile,
+        "compile a formula to an automaton file",
+        [
+            _FORMULA,
+            _OUT,
+            ("--dot", "also write a DOT rendering"),
+            ("--stats", "print one state count per formula node"),
+            _BUDGET,
+        ],
+    ),
+    (
+        "complement",
+        cmd_complement,
+        "complement an automaton file",
+        [
+            ("aut", "input automaton file"),
+            _OUT,
+            ("--stats", "print color, kind and block counts"),
+            _BUDGET,
+        ],
+    ),
+    ("product", cmd_product_or_union, "intersect two automaton files", _FILES),
+    ("union", cmd_product_or_union, "union of two automaton files", _FILES),
+    ("empty", cmd_empty, "test emptiness, printing a match if any", [_AUT]),
+    (
+        "member",
+        cmd_member,
+        "test an automaton against a UP word",
+        [_AUT, ("word", "UP word, e.g. '0 1 | 1 0'")],
+    ),
+    (
+        "corpus",
+        cmd_corpus,
+        "emit the merging automata and formula for a semigroup",
+        [("semigroup", "semigroup table file"), ("outdir", "output directory")],
+    ),
+)
+_OPTIONS = {
+    "--dot": {"metavar": "FILE"},
+    "--stats": {"action": "store_true"},
+    "--max-colors": {"type": _max_colors, "default": DEFAULT_MAX_COLORS, "metavar": "N"},
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process on first use:
@@ -210,84 +265,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Decide S1S over ultimately periodic words via Buchi automata.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def budget(sp):
-        sp.add_argument(
-            "--max-colors",
-            type=int,
-            default=DEFAULT_MAX_COLORS,
-            metavar="N",
-            help="abort complementation when the color closure exceeds N",
-        )
-
-    sp = sub.add_parser("sat", help="decide satisfiability of a formula")
-    sp.add_argument("formula", help="formula file")
-    budget(sp)
-    sp.set_defaults(run=lambda a: cmd_sat(a.formula, max_colors=a.max_colors))
-
-    sp = sub.add_parser("check", help="check an interpretation against a formula")
-    sp.add_argument("formula", help="formula file")
-    sp.add_argument("interp", help="interpretation file")
-    budget(sp)
-    sp.set_defaults(
-        run=lambda a: cmd_check(a.formula, a.interp, max_colors=a.max_colors)
-    )
-
-    sp = sub.add_parser("compile", help="compile a formula to an automaton file")
-    sp.add_argument("formula", help="formula file")
-    sp.add_argument("out", help="output automaton file")
-    sp.add_argument("--dot", metavar="FILE", help="also write a DOT rendering")
-    sp.add_argument(
-        "--stats", action="store_true", help="print one state count per formula node"
-    )
-    budget(sp)
-    sp.set_defaults(
-        run=lambda a: cmd_compile(
-            a.formula, a.out, dot_file=a.dot, max_colors=a.max_colors, stats=a.stats
-        )
-    )
-
-    sp = sub.add_parser("complement", help="complement an automaton file")
-    sp.add_argument("aut", help="input automaton file")
-    sp.add_argument("out", help="output automaton file")
-    sp.add_argument(
-        "--stats", action="store_true", help="print color, kind and block counts"
-    )
-    budget(sp)
-    sp.set_defaults(
-        run=lambda a: cmd_complement(
-            a.aut, a.out, max_colors=a.max_colors, stats=a.stats
-        )
-    )
-
-    sp = sub.add_parser("product", help="intersect two automaton files")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("out")
-    sp.set_defaults(run=lambda a: cmd_product(a.a, a.b, a.out))
-
-    sp = sub.add_parser("union", help="union of two automaton files")
-    sp.add_argument("a")
-    sp.add_argument("b")
-    sp.add_argument("out")
-    sp.set_defaults(run=lambda a: cmd_union(a.a, a.b, a.out))
-
-    sp = sub.add_parser("empty", help="test emptiness, printing a match if any")
-    sp.add_argument("aut", help="automaton file")
-    sp.set_defaults(run=lambda a: cmd_empty(a.aut))
-
-    sp = sub.add_parser("member", help="test an automaton against a UP word")
-    sp.add_argument("aut", help="automaton file")
-    sp.add_argument("word", help="UP word, e.g. '0 1 | 1 0'")
-    sp.set_defaults(run=lambda a: cmd_member(a.aut, a.word))
-
-    sp = sub.add_parser(
-        "corpus", help="emit the merging automata and formula for a semigroup"
-    )
-    sp.add_argument("semigroup", help="semigroup table file")
-    sp.add_argument("outdir", help="output directory")
-    sp.set_defaults(run=lambda a: cmd_corpus(a.semigroup, a.outdir))
-
+    for name, run, text, arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        for arg, arg_help in arguments:
+            sp.add_argument(arg, help=arg_help, **_OPTIONS.get(arg, {}))
+        sp.set_defaults(run=run)
     return parser
 
 

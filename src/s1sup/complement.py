@@ -178,12 +178,12 @@ def _targets(first, step, c: int) -> list[int]:
     return [first[c]] + [row[c] for row in step]
 
 
-def color_nfa(A: BuchiNfa, c: Color, max_colors: int = DEFAULT_MAX_COLORS) -> BuchiNfa:
+def color_nfa(A: BuchiNfa, c: Color) -> BuchiNfa:
     """Automaton accepting the finite-word tracking of color c, read as a
     Buchi automaton: state 0 is a start with no incoming transitions, state
     1 + i tracks the i-th realizable color, and the state of c accepts."""
     _check_dimensions(A, c)
-    colors, index, first, step, _ = _closure(A, max_colors)
+    colors, index, first, step, _ = _closure(A, DEFAULT_MAX_COLORS)
     class_rows = [
         tuple((1 + t,) for t in _targets(first, step, cls)) for cls in range(len(first))
     ]
@@ -229,11 +229,11 @@ def _kind_block(
     )
 
 
-def kind_nfa(A: BuchiNfa, kind: Kind, max_colors: int = DEFAULT_MAX_COLORS) -> BuchiNfa:
+def kind_nfa(A: BuchiNfa, kind: Kind) -> BuchiNfa:
     """Automaton accepting the words that factor as one block of color
     kind[0] followed by infinitely many blocks of color kind[1]."""
     _check_dimensions(A, *kind)
-    _, index, first, step, _ = _closure(A, max_colors)
+    _, index, first, step, _ = _closure(A, DEFAULT_MAX_COLORS)
     v, w = kind
     return _kind_block(
         first, step, A._letter_class, A.alphabet_size, [(index.get(w), (index.get(v),))]

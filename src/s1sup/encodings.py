@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .buchi import BuchiNfa, membership_up
-from .complement import DEFAULT_MAX_COLORS
 from .logic import (
     FoAnd,
     FoEx1,
@@ -181,25 +180,19 @@ def interp_of_word(
 
 
 @lru_cache(maxsize=4)
-def _merge_machine(g: FiniteSemigroup, max_colors: int):
+def _merge_machine(g: FiniteSemigroup):
     formula = phi_merge(g)
     reduced, variables = reduce_full(formula, MERGE_FIRST_ORDER, merge_second_order(g))
-    return translate(reduced, variables, max_colors=max_colors), variables
+    return translate(reduced, variables), variables
 
 
-def check_merge_encoding(
-    g: FiniteSemigroup,
-    sigma: UpWord,
-    i: int,
-    j: int,
-    max_colors: int = DEFAULT_MAX_COLORS,
-) -> bool:
+def check_merge_encoding(g: FiniteSemigroup, sigma: UpWord, i: int, j: int) -> bool:
     """Decide merging of positions i and j through the formula route.
 
     Same composition as models_full_up over interp_of_word and phi_merge,
     with the compiled automaton cached per semigroup so grids of queries
     stay affordable."""
-    aut, variables = _merge_machine(g, max_colors)
+    aut, variables = _merge_machine(g)
     interp = encode_interp(interp_of_word(g, sigma, i, j))
     word = interp_to_upword(interp, variables)
     return membership_up(aut, word)

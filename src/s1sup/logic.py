@@ -145,26 +145,29 @@ def _parts(node, sort: str | None = None) -> tuple[tuple[str, ...], tuple]:
 
 
 def _fold(phi, sort: str | None, combine):
-    """combine(node, names, values of its subformulas) over every node
-    occurrence, subformulas first, with explicit stacks, so depth costs no
-    recursion.  Nodes are checked against sort as in _parts."""
-    # order lists each node before its subtrees, the last subtree first;
-    # read backwards, each subtree ends with its root, which finds the
-    # values of its subformulas on top of values, in order
-    order = []
-    stack = [phi]
+    """combine(node, names, values of its subformulas) once per node
+    object of phi, subformulas first, left to right.  Values are kept by
+    id (every node stays alive inside phi), so a node object shared by
+    several parents is folded once however many paths reach it, and an
+    explicit stack keeps depth from costing recursion.  Nodes are checked
+    against sort as in _parts."""
+    values: dict[int, object] = {}
+    # (node, None) enters a node, (node, its parts) combines it once the
+    # subformulas pushed above it are folded; a node entered and not yet
+    # combined is an ancestor of every node entered meanwhile, never a
+    # subformula of one, so its placeholder value is never read
+    stack: list = [(phi, None)]
     while stack:
-        node = stack.pop()
-        parts = _parts(node, sort)
-        order.append((node, parts))
-        stack += parts[1]
-    values: list = []
-    for node, (names, subs) in reversed(order):
-        cut = len(values) - len(subs)
-        args = values[cut:]
-        del values[cut:]
-        values.append(combine(node, names, args))
-    return values[0]
+        node, parts = stack.pop()
+        if parts is not None:
+            names, subs = parts
+            values[id(node)] = combine(node, names, [values[id(sub)] for sub in subs])
+        elif id(node) not in values:
+            parts = _parts(node, sort)
+            values[id(node)] = None
+            stack.append((node, parts))
+            stack += [(sub, None) for sub in reversed(parts[1])]
+    return values[id(phi)]
 
 
 def free_min(phi: MinFormula) -> frozenset[str]:
@@ -407,40 +410,31 @@ def translate(
     the bisimulation quotient, so the result does not depend on the
     route.
 
-    Each distinct subformula is compiled once.  A first walk numbers the
-    nodes in postorder by a structural key (kind, names, child numbers),
-    never by hashing the dataclasses, whose hash recurses over the whole
-    subtree.  The distinct nodes are then compiled in number order, and
-    each result is held only until its last use.  The walk uses an
-    explicit stack, so depth costs no recursion.  When stats is a list,
-    one (node, state count) entry is appended per node occurrence in
-    postorder, the count being that of the node's number.
+    Each distinct subformula is compiled once.  One _fold numbers the
+    node objects in postorder by a structural key (kind, names, child
+    numbers), never by hashing the dataclasses, whose hash recurses over
+    the whole subtree.  The distinct nodes are then compiled in number
+    order, and each result is held only until its last use.  When stats
+    is a list, one (node, state count) entry is appended per node object
+    in postorder, a node shared by several parents listed once, the count
+    being that of the node's number.
     """
     alpha = SetAlphabet(tuple(variables))
-    # the number of each visited node object (by id, as every node stays
-    # alive inside phi), the number of each key, and per number its first
-    # node and child numbers
-    number: dict[int, int] = {}
+    # the number of each key, per number its first node and child numbers,
+    # and per node object in fold order its number
     keys: dict[tuple, int] = {}
     first: list[tuple[MinFormula, tuple[int, ...]]] = []
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if id(node) in number:
-            stack.pop()
-            continue
-        names, subs = _parts(node, "minimal")
-        todo = [sub for sub in reversed(subs) if id(sub) not in number]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        kids = tuple(number[id(sub)] for sub in subs)
-        key = (type(node), names, kids)
-        if key not in keys:
-            keys[key] = len(first)
+    numbered: list[tuple[MinFormula, int]] = []
+
+    def number(node, names, kids) -> int:
+        kids = tuple(kids)
+        i = keys.setdefault((type(node), names, kids), len(first))
+        if i == len(first):
             first.append((node, kids))
-        number[id(node)] = keys[key]
+        numbered.append((node, i))
+        return i
+
+    top = _fold(phi, "minimal", number)
 
     # a node is numbered after its subformulas, so compiling in number
     # order finds every operand compiled; each result is held until its
@@ -470,8 +464,8 @@ def translate(
         done[i] = out
         counts.append(out.state_count)
     if stats is not None:
-        _fold(phi, None, lambda node, _, args: stats.append((node, counts[number[id(node)]])))
-    return done[number[id(phi)]]
+        stats.extend((node, counts[i]) for node, i in numbered)
+    return done[top]
 
 
 def models_up(
@@ -539,7 +533,6 @@ def ex2_witness(
     phi: Ex2,
     interp: UpInterpretation,
     variables: Sequence[str],
-    max_colors: int = DEFAULT_MAX_COLORS,
 ) -> UpInterpretation | None:
     """For interp satisfying Ex2(X, body), an interpretation that satisfies
     the body and differs from interp only on X.  None when interp does not
@@ -552,7 +545,7 @@ def ex2_witness(
     if not isinstance(phi, Ex2):
         raise TypeError("ex2_witness needs a quantified formula")
     alpha = SetAlphabet(tuple(variables))
-    body_aut = translate(phi.sub, variables, max_colors=max_colors)
+    body_aut = translate(phi.sub, variables)
     proj = buchi.ex_project(body_aut, alpha.flip_pairs(phi.var))
     sigma = interp_to_upword(interp, variables)
     m = buchi.match_for_up(proj, sigma)

@@ -489,10 +489,11 @@ def test_complement_weak_rejects_non_weak():
         complement_weak(inf_ones())
 
 
-def test_complement_weak_budget():
+def test_complement_weak_budget(monkeypatch):
     A = random_weak_buchi(random.Random(428), 4, 2)
+    monkeypatch.setattr(buchi, "_BREAKPOINT_LIMIT", 1)
     with pytest.raises(buchi.BreakpointBudget):
-        complement_weak(A, max_states=1)
+        complement_weak(A)
 
 
 def det_weak_buchi(n, rows, initial, flags):

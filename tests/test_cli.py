@@ -1,9 +1,11 @@
 """End to end checks of the command line interface and the concrete syntax."""
 
 import argparse
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -765,6 +767,14 @@ class TestErrors:
         code, _, err = run_cli(capsys, "corpus", sg, str(tmp_path / "out"))
         assert code == 2 and err.startswith("error:")
 
+    def test_negative_max_colors(self, capsys, tmp_path):
+        f = write(tmp_path, "f.s1s", "X sub Y\n")
+        with pytest.raises(SystemExit) as stop:
+            main(["sat", f, "--max-colors", "-3"])
+        captured = capsys.readouterr()
+        assert stop.value.code == 2 and captured.out == ""
+        assert "argument --max-colors: must be nonnegative, got -3" in captured.err
+
     def test_semigroup_entry_not_an_integer(self, capsys, tmp_path):
         sg = write(tmp_path, "bad.sg", "semigroup 2\n0 x\n1 1\n")
         code, out, err = run_cli(capsys, "corpus", sg, str(tmp_path / "out"))
@@ -797,10 +807,15 @@ def test_calls_share_one_parser(capsys, tmp_path, monkeypatch):
 def test_console_script_installed(tmp_path):
     f = tmp_path / "f.s1s"
     f.write_text("X sub Y\n")
+    # the package's src directory first, as pytest's pythonpath setting
+    # does not reach a subprocess
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "s1sup.cli", "sat", str(f)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("SAT\n")

@@ -314,6 +314,28 @@ def test_translate_answers_on_deep_formulas():
     assert verdicts(conj) == verdicts(And(parts[0], And(parts[1], parts[2])))
 
 
+def test_formula_walks_fold_each_shared_node_once():
+    # 40 levels of And(f, f) share one node object per level: 41 objects,
+    # but 2**40 paths to the atom, so every walk must fold objects, not paths
+    phi, full = Incl("X", "Y"), FoIn("x", "X")
+    for _ in range(40):
+        phi, full = And(phi, phi), FoAnd(full, full)
+    assert free_min(phi) == {"X", "Y"}
+    found = sat_min(phi, XY)
+    assert found is not None and models_up(found, phi, XY)
+    bad = UpInterpretation(sets={"X": bits("1", "0"), "Y": bits("0", "0")})
+    assert not models_up(bad, phi, XY) and not models_up_direct(bad, phi)
+    assert models_up_direct(found, phi)
+    stats = []
+    translate(phi, XY, stats=stats)
+    assert len(stats) == 41 and stats[-1][0] is phi
+    assert all(count == 1 for _, count in stats)
+    reduced, variables = reduce_full(full, ("x",), ("X",))
+    assert free_min(reduced) == {"x", "X"} and variables[:2] == ("x", "X")
+    found = sat_full(full, ("x",), ("X",))
+    assert found is not None and up_at(found.sets["X"], found.nums["x"])
+
+
 def test_direct_evaluator_rejects_quantifiers():
     with pytest.raises(ValueError):
         models_up_direct(
