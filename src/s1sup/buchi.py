@@ -45,6 +45,7 @@ class BuchiNfa:
         "_class_first_letter",
         "_weak",
         "_det",
+        "_sim_above",
     )
 
     def __init__(
@@ -113,6 +114,7 @@ class BuchiNfa:
         self._class_first_letter = tuple(new_first)
         self._weak = None
         self._det = None
+        self._sim_above = None
 
     @classmethod
     def _make(cls, state_count, alphabet_size, letter_class, class_rows, initial, accepting):
@@ -813,7 +815,8 @@ _BREAKPOINT_LIMIT = 30000
 
 
 def complement_weak(A: BuchiNfa) -> BuchiNfa:
-    """Breakpoint complement, exact for weak automata.
+    """Breakpoint complement (Miyano and Hayashi, TCS 1984), exact for
+    weak automata, over simulation-maximal macrostates.
 
     Reading a weak automaton as co-Buchi, a word is rejected exactly when
     no run eventually stays inside accepting states.  States are pairs
@@ -822,11 +825,42 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
     of breakpoints at infinitely many steps certifies rejection.  A word
     whose runs all die is rejected too, which the empty reachable set
     accepts vacuously.
+
+    Each set keeps only its members that no other member strictly
+    simulates, by A's direct simulation, and of each class of mutually
+    similar members one state, the lowest numbered state of A in that
+    class (van Glabbeek and Ploeger, CIAA 2008; Chen, Havlena and Lengal,
+    APLAS 2019).  The reachable set and the watched set are each pruned
+    against themselves.  Call two sets equivalent when every member of
+    each is simulated by a member of the other.  Equivalent sets prune to
+    the same set, and a set is equivalent to its pruned self.  Successors
+    of equivalent sets on a letter are equivalent: if q simulates p, each
+    successor p' of p is simulated by a successor q' of q, which is
+    accepting when p' is.  So are their accepting members, for the same
+    reason, and the accepting members of a pruned set are its accepting
+    members pruned.  Hence, on every word, the reachable set here is the
+    unpruned construction's reachable set, pruned.  The same holds for
+    the watched set: it follows its members' accepting successors, and at
+    a breakpoint it is reset to the accepting members of the reachable
+    set.  An empty set prunes to the empty set and no other, so the
+    watched set here empties exactly when the unpruned one does.  Pruning
+    thus maps each unpruned state to one state here, respecting
+    transitions and acceptance: both constructions accept the same words,
+    and this one has at most as many states.
+
+    Pruning needs the n x n relation, so it applies to nondeterministic
+    automata of at most _SIM_LIMIT states; there the relation is the one
+    _sim_reduce left on A, or it is computed here.  On deterministic input
+    every set has at most one member, and larger automata are built
+    unpruned.
     """
     if not is_weak(A):
         raise ValueError("complement_weak needs SCC-uniform acceptance")
     acc = A.accepting
-    start = (frozenset(A.initial), frozenset(A.initial & acc))
+    prune = frozenset
+    if not is_deterministic(A) and A.state_count <= _SIM_LIMIT:
+        prune = _maximal_members(A)
+    start = (prune(A.initial), prune(A.initial & acc))
     index: dict[tuple[frozenset[int], frozenset[int]], int] = {start: 0}
     order = [start]
     nclasses = len(A._class_rows)
@@ -835,9 +869,9 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
     while i < len(order):
         s, o = order[i]
         for c, rows in enumerate(A._class_rows):
-            ns = frozenset(q for p in s for q in rows[p])
+            ns = prune({q for p in s for q in rows[p]})
             if o:
-                no = frozenset(q for p in o for q in rows[p]) & acc
+                no = prune({q for p in o for q in rows[p]} & acc)
             else:
                 no = ns & acc
             key = (ns, no)
@@ -1087,9 +1121,17 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     successor per class and the quotient at most one initial state, so
     there is nothing to prune: both routes give the same automaton, with
     blocks numbered by first member.  On the Z2 merge compile the
-    largest deterministic inputs, 1,933 and 1,937 states over 32 classes,
-    take 17-19 ms by refinement where the relation takes 0.38-0.53 s (2
-    shared cores).
+    largest deterministic inputs, 1,296 and 623 states over 32 classes,
+    take 14-18 and 9-10 ms by refinement, where the relation takes
+    0.27-0.29 and 0.08 s (2 shared cores; complement_weak's outputs of
+    1,933 and 1,937 states were the largest before it pruned by
+    simulation).
+
+    When nothing merges or is pruned, A itself is returned, as the
+    rebuilt automaton would equal it.  The relation route leaves the
+    relation on A as bitmasks, above[p] holding the states that simulate
+    p, for complement_weak (_maximal_members) to read instead of
+    computing it again.
 
     Deterministic input is reduced at any size.  Nondeterministic
     automata above _SIM_LIMIT states are returned unchanged, since the
@@ -1114,13 +1156,8 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     members: list[list[int]] = [[] for _ in number]
     for p, b in enumerate(block):
         members[number[b]].append(p)
-    # Python-int bitmasks over states, a block standing for its first
-    # state: above[p] holds the states that simulate p
-    nbytes = (n + 7) // 8
-    buf = np.packbits(sim, axis=1, bitorder="little").tobytes()
-    above = [
-        int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)
-    ]
+    # a block stands for its first state in the masks
+    A._sim_above = above = _simulator_masks(sim)
     bit = [1 << b for b in block]
 
     def undominated(mask: int) -> tuple[int, ...]:
@@ -1148,14 +1185,67 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     initial_mask = 0
     for s in A.initial:
         initial_mask |= bit[s]
+    initial = undominated(initial_mask)
+    if len(number) == n and tuple(new_rows) == A._class_rows and len(initial) == len(A.initial):
+        # nothing merged or pruned: the rebuilt automaton would equal A
+        return A
     return BuchiNfa._make(
         len(number),
         A.alphabet_size,
         list(A._letter_class),
         new_rows,
-        undominated(initial_mask),
+        initial,
         [number[block[s]] for s in A.accepting],
     )
+
+
+def _simulator_masks(sim: np.ndarray) -> list[int]:
+    """Row p of the n x n boolean relation sim as a Python-int bitmask over
+    states: bit q of the p-th mask is sim[p, q]."""
+    nbytes = (len(sim) + 7) // 8
+    buf = np.packbits(sim, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+
+def _maximal_members(A: BuchiNfa) -> Callable[[set[int] | frozenset[int]], frozenset[int]]:
+    """prune(states) keeps, of a set of A's states, the members that no
+    other member strictly simulates, each replaced by the lowest numbered
+    state mutually similar to it.  So it holds one state per maximal class
+    of mutually similar members, and sets that simulate each other member
+    by member prune to the same set.
+
+    The relation is the direct simulation of A as bitmasks, above[p]
+    holding the states that simulate p.  _sim_reduce leaves these masks
+    on every automaton it takes the relation route for, and returns that
+    automaton itself when it changes nothing, so an operand fresh from
+    logic._compact carries them; _direct_simulation runs here only for
+    automata that did not come that way.
+    """
+    above = A._sim_above
+    if above is None:
+        A._sim_above = above = _simulator_masks(_direct_simulation(A))
+    # strictly[p]: the states that simulate p and that p does not simulate
+    # back; first[p]: the lowest numbered state mutually similar to p
+    strictly, first = [], []
+    for p, mask in enumerate(above):
+        equal = 1 << p
+        rest = mask ^ equal
+        while rest:
+            low = rest & -rest
+            if above[low.bit_length() - 1] >> p & 1:
+                equal |= low
+            rest ^= low
+        strictly.append(mask ^ equal)
+        first.append((equal & -equal).bit_length() - 1)
+    bit = [1 << p for p in range(A.state_count)]
+
+    def prune(states):
+        if len(states) < 2:
+            return frozenset(map(first.__getitem__, states))
+        mask = sum(map(bit.__getitem__, states))
+        return frozenset([first[q] for q in states if not strictly[q] & mask])
+
+    return prune
 
 
 # -- text formats ---------------------------------------------------------------

@@ -50,31 +50,100 @@ class NonSingletonWitness(RuntimeError):
 # -- abstract syntax -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Less:
+class _Hashed:
+    """Stands in a tuple for a node whose hash is already known, so that
+    hashing the tuple gives what it would give with the node itself."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+class _Node:
+    """Base of the formula nodes of both syntaxes: ==, hash and repr give
+    the results of the methods dataclasses would generate, without
+    recursion.
+
+    Each walks the formula with an explicit stack, reading nodes through
+    _parts, whose names come before the subformulas as the fields do.  ==
+    and hash visit each node object, or pair of node objects, once, so a
+    formula whose subformulas are shared by several parents costs time
+    linear in its distinct node objects, not in its paths.  A hash is the
+    hash of the tuple of the node's field values, as the generated one
+    is, each subformula standing in by its own hash.  repr spells out
+    every path, so its text grows with the paths; it builds that text
+    once, piece by piece.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.__class__ is not b.__class__:
+                return False
+            (names, subs), (other_names, other_subs) = _parts(a), _parts(b)
+            if names != other_names:
+                return False
+            stack += zip(subs, other_subs)
+        return True
+
+    def __hash__(self):
+        return _fold(self, None, lambda _, names, hashes: hash((*names, *map(_Hashed, hashes))))
+
+    def __repr__(self):
+        # the stack holds nodes still to spell and text already spelled
+        pieces: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                pieces.append(item)
+                continue
+            names, subs = _parts(item)
+            values = [*map(repr, names), *subs]
+            parts: list = [f"{type(item).__qualname__}("]
+            for i, (field, value) in enumerate(zip(item.__dataclass_fields__, values)):
+                parts += [f"{', ' if i else ''}{field}=", value]
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(pieces)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Less(_Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class Incl:
+@dataclass(frozen=True, eq=False, repr=False)
+class Incl(_Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "MinFormula"
     right: "MinFormula"
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     sub: "MinFormula"
 
 
-@dataclass(frozen=True)
-class Ex2:
+@dataclass(frozen=True, eq=False, repr=False)
+class Ex2(_Node):
     var: str
     sub: "MinFormula"
 
@@ -82,37 +151,37 @@ class Ex2:
 MinFormula = Less | Incl | And | Not | Ex2
 
 
-@dataclass(frozen=True)
-class FoLess:
+@dataclass(frozen=True, eq=False, repr=False)
+class FoLess(_Node):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
-class FoIn:
+@dataclass(frozen=True, eq=False, repr=False)
+class FoIn(_Node):
     elem: str
     container: str
 
 
-@dataclass(frozen=True)
-class FoAnd:
+@dataclass(frozen=True, eq=False, repr=False)
+class FoAnd(_Node):
     left: "FullFormula"
     right: "FullFormula"
 
 
-@dataclass(frozen=True)
-class FoNot:
+@dataclass(frozen=True, eq=False, repr=False)
+class FoNot(_Node):
     sub: "FullFormula"
 
 
-@dataclass(frozen=True)
-class FoEx1:
+@dataclass(frozen=True, eq=False, repr=False)
+class FoEx1(_Node):
     var: str
     sub: "FullFormula"
 
 
-@dataclass(frozen=True)
-class FoEx2:
+@dataclass(frozen=True, eq=False, repr=False)
+class FoEx2(_Node):
     var: str
     sub: "FullFormula"
 
@@ -344,14 +413,18 @@ def _compact(A: BuchiNfa) -> BuchiNfa:
     nothing can be pruned, and the n x n simulation relation otherwise,
     up to buchi._SIM_LIMIT states.  Both give the same automaton on
     deterministic input, so the route never changes a result.
+
+    The loop ends when _sim_reduce returns its input itself, so on the
+    relation route the result carries the direct simulation that pass
+    built; _negate hands it on, and complement_weak prunes its breakpoint
+    sets by it without computing it again.
     """
     out = buchi._trim(A)
     while True:
-        before = (out.state_count, out._class_rows, out.initial)
-        out = buchi._sim_reduce(out)
-        if (out.state_count, out._class_rows, out.initial) == before:
+        reduced = buchi._sim_reduce(out)
+        if reduced is out:
             return out
-        out = buchi._trim(out)
+        out = buchi._trim(reduced)
 
 
 def _negate(A: BuchiNfa, max_colors: int) -> BuchiNfa:
@@ -412,8 +485,8 @@ def translate(
 
     Each distinct subformula is compiled once.  One _fold numbers the
     node objects in postorder by a structural key (kind, names, child
-    numbers), never by hashing the dataclasses, whose hash recurses over
-    the whole subtree.  The distinct nodes are then compiled in number
+    numbers), never by hashing the nodes, as a hash walks the whole
+    subtree on every call.  The distinct nodes are then compiled in number
     order, and each result is held only until its last use.  When stats
     is a list, one (node, state count) entry is appended per node object
     in postorder, a node shared by several parents listed once, the count

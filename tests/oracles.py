@@ -114,6 +114,46 @@ def all_kinds_complement(A: BuchiNfa) -> BuchiNfa:
     return BuchiNfa(offset, A.alphabet_size, transitions, initial, accepting)
 
 
+def breakpoint_complement(A: BuchiNfa) -> BuchiNfa:
+    """Miyano-Hayashi breakpoint complement of a weak automaton, with every
+    member of every set kept.
+
+    States are pairs (reachable set, watched set), explored breadth first
+    from (initial, initial & accepting) letter by letter over the
+    transition list.  The watched set follows its members' successors that
+    stay accepting; once it is empty, the next step watches the accepting
+    members of the reachable set again.  Pairs with an empty watched set
+    accept.  buchi.complement_weak builds the same construction over
+    simulation-maximal members only; this is its reference.
+    """
+    succ: dict[tuple[int, int], set[int]] = {}
+    for p, a, q in A.transitions:
+        succ.setdefault((p, a), set()).add(q)
+    acc = A.accepting
+
+    def post(states, a):
+        return frozenset(q for p in states for q in succ.get((p, a), ()))
+
+    start = (frozenset(A.initial), frozenset(A.initial & acc))
+    index = {start: 0}
+    order = [start]
+    transitions = []
+    i = 0
+    while i < len(order):
+        reach, watched = order[i]
+        for a in range(A.alphabet_size):
+            nreach = post(reach, a)
+            nwatched = post(watched, a) & acc if watched else nreach & acc
+            key = (nreach, nwatched)
+            if key not in index:
+                index[key] = len(order)
+                order.append(key)
+            transitions.append((i, a, index[key]))
+        i += 1
+    accepting = [j for j, (_, watched) in enumerate(order) if not watched]
+    return BuchiNfa(len(order), A.alphabet_size, transitions, [0], accepting)
+
+
 def naive_nonempty(A: BuchiNfa) -> bool:
     """Lasso search on the raw transition graph: a reachable accepting
     state that lies on a cycle."""

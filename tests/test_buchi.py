@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    breakpoint_complement,
     naive_direct_simulation,
     naive_lasso_exists,
     naive_membership_up,
@@ -44,6 +45,7 @@ from s1sup.buchi import (
     transa,
     union,
 )
+from s1sup.complement import complement
 from s1sup.semigroup import UpWord, up_equiv
 
 
@@ -496,6 +498,126 @@ def test_complement_weak_budget(monkeypatch):
         complement_weak(A)
 
 
+def with_copies(A, originals):
+    """A with one new state per entry of originals, copying that state:
+    the same successors, acceptance and initial status, and entered
+    wherever it is.  Each copy and its original simulate each other, and
+    acceptance stays constant on every SCC."""
+    transitions, initial, accepting = set(A.transitions), set(A.initial), set(A.accepting)
+    for copy, p in enumerate(originals, start=A.state_count):
+        for x, a, y in list(transitions):
+            for x2 in {x, copy} if x == p else {x}:
+                for y2 in {y, copy} if y == p else {y}:
+                    transitions.add((x2, a, y2))
+        initial |= {copy} if p in initial else set()
+        accepting |= {copy} if p in accepting else set()
+    n = A.state_count + len(originals)
+    return BuchiNfa(n, A.alphabet_size, transitions, initial, accepting)
+
+
+def up_words(alphabet, max_pre, max_per):
+    """Every UP word with a prefix of length 0..max_pre and a period of
+    length 1..max_per, an empty prefix spelled as one more period."""
+    def parts(lo, hi):
+        return [
+            w for k in range(lo, hi + 1) for w in itertools.product(range(alphabet), repeat=k)
+        ]
+
+    return [UpWord(pre or per, per) for pre in parts(0, max_pre) for per in parts(1, max_per)]
+
+
+@st.composite
+def weak_with_copies_and_words(draw):
+    """A weak automaton of up to 4 states over 2 letters, with up to two
+    of its states copied (so mutually similar states occur, as they do
+    in automata that were never quotiented), and three UP words."""
+    n = draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.tuples(state, st.integers(0, 1), state), max_size=10))
+    initial = draw(st.frozensets(state, min_size=1, max_size=2))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges: dict[int, list[int]] = {}
+    for p, _, q in transitions:
+        edges.setdefault(p, []).append(q)
+    comp = scc_index(n, edges)
+    A = BuchiNfa(n, 2, transitions, initial, [s for s in range(n) if flags[comp[s]]])
+    A = with_copies(A, draw(st.lists(state, max_size=2)))
+    letters = st.lists(st.integers(0, 1), min_size=1, max_size=3)
+    words = []
+    for _ in range(3):
+        pre, per = draw(letters.map(tuple) | st.just(())), tuple(draw(letters))
+        words.append(UpWord(pre or per, per))
+    return A, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_with_copies_and_words())
+def test_weak_complements_agree_with_naive_membership_property(case):
+    # the pruned breakpoint, the unpruned one, the flip where it applies
+    # and the Ramsey complement each accept exactly the words A rejects
+    A, words = case
+    assert is_weak(A)
+    complements = [complement_weak(A), breakpoint_complement(A), complement(A)]
+    assert complements[0].state_count <= complements[1].state_count
+    if is_deterministic(A):
+        complements.append(complement_flip(A))
+    for sigma in words:
+        outside = not naive_membership_up(A, sigma)
+        assert [naive_membership_up(C, sigma) for C in complements] == [outside] * len(complements)
+
+
+def test_pruned_breakpoint_agrees_with_unpruned_on_every_short_word():
+    # 457 seeded weak automata of 2-7 states over 2 letters, on every word
+    # with a prefix of length 0-3 and a period of length 1-3
+    rng = random.Random(457)
+    words = up_words(2, 3, 3)
+    assert len(words) == 15 * 14
+    pruned = 0
+    for _ in range(457):
+        A = random_weak_buchi(rng, 7, 2)
+        while A.state_count < 2:
+            A = random_weak_buchi(rng, 7, 2)
+        C, U = complement_weak(A), breakpoint_complement(A)
+        assert C.state_count <= U.state_count
+        pruned += C.state_count < U.state_count
+        for sigma in words:
+            outside = not membership_up(A, sigma)
+            assert membership_up(C, sigma) == membership_up(U, sigma) == outside, (
+                format_nfa(A), sigma
+            )
+    assert pruned >= 100
+
+
+def test_maximal_members_drop_strictly_simulated_and_keep_the_lowest_of_equals():
+    # 1 and 2 are accepting a-loops, equal under simulation, and stand for
+    # 1; 0 dies on b where 3 loops, so 3 strictly simulates 0 (both
+    # non-accepting)
+    A = BuchiNfa(
+        4, 2, [(0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 0, 1), (3, 1, 3), (0, 0, 2)], [0], [1, 2]
+    )
+    assert not is_deterministic(A)
+    prune = buchi._maximal_members(A)
+    assert prune({1, 2}) == prune({2}) == prune({1}) == {1}
+    assert prune({0, 3}) == {3} and prune({0, 2, 3}) == {1, 3} and prune({0}) == {0}
+    assert prune(set()) == frozenset()
+
+
+def test_complement_weak_leaves_deterministic_and_large_operands_unpruned(monkeypatch):
+    def unreachable(A):
+        raise AssertionError("_direct_simulation reached")
+
+    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    rng = random.Random(439)
+    for _ in range(30):
+        A = random_det_weak_buchi(rng)
+        assert complement_weak(A) == breakpoint_complement(A)
+    # nondeterministic, over the limit: a chain whose first state also
+    # steps to the third, all of it accepting
+    n = buchi._SIM_LIMIT + 1
+    A = BuchiNfa(n, 1, [(p, 0, p + 1) for p in range(n - 1)] + [(0, 0, 2)], [0], range(n))
+    assert complement_weak(A) == breakpoint_complement(A)
+
+
 def det_weak_buchi(n, rows, initial, flags):
     """The deterministic automaton with successor rows[a][p] (None for
     none), accepting the states of each SCC c with flags[c]."""
@@ -864,6 +986,34 @@ def test_sim_reduce_unreachable_accepting_cycle():
     assert not is_satisfiable(A)
     for reduce_fn in (buchi._sim_reduce, logic._compact):
         assert not is_satisfiable(reduce_fn(A))
+
+
+def test_sim_reduce_returns_its_input_and_leaves_the_relation_on_it():
+    # when nothing merges or is pruned the result is A itself; on the
+    # relation route the masks left on A are A's direct simulation
+    rng = random.Random(440)
+    kept = rebuilt = 0
+    for _ in range(300):
+        A = _random_simulation_case(rng)
+        R = buchi._sim_reduce(A)
+        assert (R is A) == (R == A)
+        if A.state_count > 1 and not is_deterministic(A):
+            pairs = {
+                (p, q)
+                for p, mask in enumerate(A._sim_above)
+                for q in range(A.state_count)
+                if mask >> q & 1
+            }
+            assert pairs == naive_direct_simulation(A), format_nfa(A)
+            kept += R is A
+            rebuilt += R is not A
+        else:
+            assert A._sim_above is None
+    assert min(kept, rebuilt) >= 20
+    # _compact's results are fixpoints, so each is its own reduction
+    for _ in range(100):
+        C = logic._compact(_random_simulation_case(rng))
+        assert buchi._sim_reduce(C) is C
 
 
 def test_trim_returns_its_input_when_it_cuts_nothing():

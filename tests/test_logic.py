@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -228,6 +229,36 @@ def test_products_with_the_less_atom_take_moore_refinement(monkeypatch):
     assert buchi.is_deterministic(A)
 
 
+def test_weak_complements_of_the_lp_compile_reuse_the_relation(monkeypatch):
+    # every operand of complement_weak comes out of _compact, whose last
+    # _sim_reduce left the relation on it, so none is built inside
+    relation, weak = buchi._direct_simulation, buchi.complement_weak
+    operands, inside, built_inside = [], [], []
+
+    def complement_weak(A):
+        operands.append(A)
+        inside.append(A)
+        try:
+            return weak(A)
+        finally:
+            inside.pop()
+
+    def direct_simulation(A):
+        if inside:
+            built_inside.append(A)
+        return relation(A)
+
+    monkeypatch.setattr(buchi, "complement_weak", complement_weak)
+    monkeypatch.setattr(buchi, "_direct_simulation", direct_simulation)
+    lp = new_semigroup(2, [[0, 0], [1, 1]])
+    translate(*reduce_full(phi_merge(lp), MERGE_FIRST_ORDER, merge_second_order(lp)))
+    # nondeterministic operands within the limit: each one was pruned
+    assert len(operands) == 4 and built_inside == []
+    assert all(
+        not buchi.is_deterministic(A) and A.state_count <= buchi._SIM_LIMIT for A in operands
+    )
+
+
 # -- translation ------------------------------------------------------------------
 
 
@@ -293,8 +324,7 @@ def test_automata_vs_direct_evaluator():
 
 
 def test_translate_answers_on_deep_formulas():
-    # far deeper than the interpreter's recursion limit; built by loops,
-    # and never hashed, compared or printed, as those recurse too
+    # far deeper than the interpreter's recursion limit; built by loops
     rng = random.Random(467)
     words = [interp_to_upword(random_min_interp(rng, XY), XY) for _ in range(60)]
 
@@ -334,6 +364,101 @@ def test_formula_walks_fold_each_shared_node_once():
     assert free_min(reduced) == {"x", "X"} and variables[:2] == ("x", "X")
     found = sat_full(full, ("x",), ("X",))
     assert found is not None and up_at(found.sets["X"], found.nums["x"])
+
+
+# the formula nodes rebuilt with the methods dataclasses generate
+_GENERATED = {
+    cls: dataclasses.make_dataclass(
+        cls.__name__, [f.name for f in dataclasses.fields(cls)], frozen=True
+    )
+    for cls in (Less, Incl, And, Not, Ex2, FoLess, FoIn, FoAnd, FoNot, FoEx1, FoEx2)
+}
+
+
+def _generated(phi):
+    # recursive, as the generated methods are: shallow formulas only
+    values = [getattr(phi, f.name) for f in dataclasses.fields(phi)]
+    return _GENERATED[type(phi)](
+        *(_generated(v) if type(v) in _GENERATED else v for v in values)
+    )
+
+
+def test_formula_nodes_compare_hash_and_print_as_generated_methods_do():
+    # equal trees built separately, and unequal ones, of both syntaxes
+    def draws(seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(150):
+            out.append(random_min_formula(rng, ("X", "Y"), rng.randint(0, 5), quantifiers=2))
+            out.append(random_full_formula(rng, ("x", "y"), ("X",), rng.randint(0, 4), 2))
+        return out
+
+    first, again = draws(1700), draws(1700)
+    mirrors = [_generated(phi) for phi in first]
+    for phi, twin, mirror in zip(first, again, mirrors):
+        assert phi is not twin and phi == twin and not phi != twin
+        assert hash(phi) == hash(twin) == hash(mirror)
+        assert repr(phi) == repr(twin) == repr(mirror)
+    for (phi, m), (psi, n) in itertools.combinations(list(zip(first, mirrors))[:80], 2):
+        assert (phi == psi) == (m == n) and (phi != psi) == (m != n)
+    # across classes with equal fields, at the top or below, and against
+    # other types
+    assert Less("X", "Y") != Incl("X", "Y") and Not(Less("X", "Y")) != FoNot(FoLess("X", "Y"))
+    assert And(Less("X", "Y"), Incl("X", "Y")) != And(Incl("X", "Y"), Incl("X", "Y"))
+    assert Less("X", "Y") != ("X", "Y") and Less("X", "Y") != "Less"
+
+
+def _not_chain(atom, depth):
+    chain = atom
+    for _ in range(depth):
+        chain = Not(chain)
+    return chain
+
+
+def test_deep_formulas_compare_hash_and_print_without_recursion():
+    # 3000 levels, far past the recursion limit, built twice
+    chain, twin = _not_chain(Less("X", "Y"), 3000), _not_chain(Less("X", "Y"), 3000)
+    other = _not_chain(Less("Y", "X"), 3000)
+    assert chain == twin and chain != other and not chain == other
+    assert hash(chain) == hash(twin) == hash((chain.sub,))
+    assert {chain: 1}[twin] == 1 and other not in {chain}
+    assert repr(chain) == "Not(sub=" * 3000 + "Less(left='X', right='Y')" + ")" * 3000
+
+
+def test_shared_formulas_compare_and_hash_once_per_node(monkeypatch):
+    # 40 levels of And(f, f), built twice: 2**40 paths but 41 node objects
+    # each, so == reads the parts of each node of a pair once, and hash of
+    # each node once.  A walk over paths stops at the first read past that.
+    # Results are bound to names before each assert, as printing such a
+    # formula spells out every path.
+    def dag(atom):
+        phi = atom
+        for _ in range(40):
+            phi = And(phi, phi)
+        return phi
+
+    phi, twin, other = dag(Incl("X", "Y")), dag(Incl("X", "Y")), dag(Incl("Y", "X"))
+    parts = logic._parts
+    reads = [0, 0]
+
+    def counted(node, sort=None):
+        reads[0] += 1
+        if reads[0] > reads[1]:
+            raise AssertionError(f"more than {reads[1]} nodes read")
+        return parts(node, sort)
+
+    monkeypatch.setattr(logic, "_parts", counted)
+    for left, right, want in ((phi, twin, True), (phi, other, False)):
+        reads[:] = [0, 2 * 41]
+        equal = left == right
+        assert equal == want
+    hashes = []
+    for formula in (phi, twin):
+        reads[:] = [0, 41]
+        hashes.append(hash(formula))
+    reads[:] = [0, 2 * 40]
+    same = hashes[0] == hashes[1] == hash((phi.left, phi.right))
+    assert same
 
 
 def test_direct_evaluator_rejects_quantifiers():
