@@ -45,7 +45,7 @@ class BuchiNfa:
         "_class_first_letter",
         "_weak",
         "_det",
-        "_sim_above",
+        "_sim_order",
     )
 
     def __init__(
@@ -114,7 +114,7 @@ class BuchiNfa:
         self._class_first_letter = tuple(new_first)
         self._weak = None
         self._det = None
-        self._sim_above = None
+        self._sim_order = None
 
     @classmethod
     def _make(cls, state_count, alphabet_size, letter_class, class_rows, initial, accepting):
@@ -463,24 +463,19 @@ def _union_many(parts: Sequence[BuchiNfa], alphabet_size: int) -> BuchiNfa:
         offsets.append(total)
         total += part.state_count
     combo_id: dict[tuple[int, ...], int] = {}
-    letter_class = []
+    letter_class = [
+        combo_id.setdefault(combo, len(combo_id))
+        for combo in zip(*(part._letter_class for part in parts))
+    ]
     class_rows = []
-    for a in range(alphabet_size):
-        combo = tuple(part._letter_class[a] for part in parts)
-        cid = combo_id.get(combo)
-        if cid is None:
-            cid = len(class_rows)
-            combo_id[combo] = cid
-            rows: list[tuple[int, ...]] = []
-            for part, off, pc in zip(parts, offsets, combo):
-                if off == 0:
-                    rows.extend(part._class_rows[pc])
-                else:
-                    rows.extend(
-                        tuple(q + off for q in row) for row in part._class_rows[pc]
-                    )
-            class_rows.append(tuple(rows))
-        letter_class.append(cid)
+    for combo in combo_id:
+        rows: list[tuple[int, ...]] = []
+        for part, off, pc in zip(parts, offsets, combo):
+            if off == 0:
+                rows.extend(part._class_rows[pc])
+            else:
+                rows.extend(tuple(q + off for q in row) for row in part._class_rows[pc])
+        class_rows.append(tuple(rows))
     initial = [s + off for part, off in zip(parts, offsets) for s in part.initial]
     accepting = [s + off for part, off in zip(parts, offsets) for s in part.accepting]
     return BuchiNfa._make(total, alphabet_size, letter_class, class_rows, initial, accepting)
@@ -848,18 +843,14 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
     transitions and acceptance: both constructions accept the same words,
     and this one has at most as many states.
 
-    Pruning needs the n x n relation, so it applies to nondeterministic
-    automata of at most _SIM_LIMIT states; there the relation is the one
-    _sim_reduce left on A, or it is computed here.  On deterministic input
-    every set has at most one member, and larger automata are built
-    unpruned.
+    The order is _simulation_order(A), read through _maximal_members.  A
+    has none when it is deterministic, and then its sets have at most one
+    member, or over _SIM_LIMIT states; the sets are then built unpruned.
     """
     if not is_weak(A):
         raise ValueError("complement_weak needs SCC-uniform acceptance")
     acc = A.accepting
-    prune = frozenset
-    if not is_deterministic(A) and A.state_count <= _SIM_LIMIT:
-        prune = _maximal_members(A)
+    prune = _maximal_members(A)
     start = (prune(A.initial), prune(A.initial & acc))
     index: dict[tuple[frozenset[int], frozenset[int]], int] = {start: 0}
     order = [start]
@@ -1003,14 +994,13 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
     gathers touch one packed row per edge or sentinel, and the transposes
     one bit per pair and class.
 
-    From _BLOCK_TRANSPOSE_STATES (224) states on, the transposes go in
-    8 x 8 bit blocks held in 64-bit words (_block_transposer): 0.34 ms
-    per transpose at 1,000 states and 1.3 ms at 1,938, where unpacking to
-    bytes takes 0.88 and 4.5 ms.  Below it they unpack to bytes
-    (_byte_transposer), whose three numpy calls beat the block route's
-    fixed cost of about 25 us.  The buffers are reused, so beyond the
-    packed relations a call holds one class's gathers and the
-    transpose's own buffers, whatever the number of classes.
+    From _BLOCK_TRANSPOSE_STATES states on, the transposes go in 8 x 8
+    bit blocks held in 64-bit words (_block_transposer); below it they
+    unpack to bytes (_byte_transposer), whose three numpy calls beat the
+    block route's fixed cost (timings at the constant).  The buffers are
+    reused, so beyond the packed relations a call holds one class's
+    gathers and the transpose's own buffers, whatever the number of
+    classes.
     """
     n = A.state_count
     nbytes = (n + 7) // 8
@@ -1100,6 +1090,62 @@ def _moore_quotient(A: BuchiNfa) -> BuchiNfa:
     )
 
 
+def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
+    """A's direct simulation (_direct_simulation) as (first, strictly),
+    or None for deterministic automata and for automata over _SIM_LIMIT
+    states.  first[p] is the lowest numbered state mutually similar to p,
+    and strictly[p] the bitmask of the states that strictly simulate p:
+    q simulates p exactly when bit q of strictly[p] is set or first[q] ==
+    first[p].  _sim_reduce and complement_weak prune by this one order.
+
+    Deterministic automata need no relation: _sim_reduce refines them by
+    _moore_quotient, and their breakpoint sets have at most one member.
+    The relation is n x n, hence the limit; 3000 states is well above
+    the largest nondeterministic automaton the TRIV, LP and Z2 merge
+    compiles reduce, 344 states on Z2.  A bound on the packed relation's
+    bytes, part of one budget for every construction, is to replace this
+    state count.
+
+    The order is kept on A, so the results of _reduce carry theirs to
+    complement_weak (see _reduce).
+    """
+    if is_deterministic(A) or A.state_count > _SIM_LIMIT:
+        return None
+    if A._sim_order is None:
+        sim = _direct_simulation(A)
+        nbytes = (A.state_count + 7) // 8
+        buf = np.packbits(sim & ~sim.T, axis=1, bitorder="little").tobytes()
+        # argmax finds the first mutually similar state of each row
+        A._sim_order = (
+            (sim & sim.T).argmax(axis=1).tolist(),
+            [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)],
+        )
+    return A._sim_order
+
+
+def _maximal_members(A: BuchiNfa) -> Callable[[set[int] | frozenset[int]], frozenset[int]]:
+    """prune(states) keeps, of a set of A's states, the members that no
+    other member strictly simulates, each replaced by the lowest numbered
+    state mutually similar to it, by _simulation_order(A).  So it holds
+    one state per maximal class of mutually similar members, and sets
+    that simulate each other member by member prune to the same set.
+    Where A has no simulation order, prune is frozenset.
+    """
+    order = _simulation_order(A)
+    if order is None:
+        return frozenset
+    first, strictly = order
+    bit = [1 << p for p in range(A.state_count)]
+
+    def prune(states):
+        if len(states) < 2:
+            return frozenset(map(first.__getitem__, states))
+        mask = sum(map(bit.__getitem__, states))
+        return frozenset([first[q] for q in states if not strictly[q] & mask])
+
+    return prune
+
+
 def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     """Quotient and prune by direct simulation.
 
@@ -1111,10 +1157,12 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     they simulate each other, so it is the translation's only quotient.
 
     Two routes give that result.  Nondeterministic input takes the
-    relation route: _direct_simulation, whose refinement rounds cost
-    O(sum over classes of (edges_c + n) * n) bit operations, then the
-    quotient and the pruning.  Deterministic input (is_deterministic)
-    takes _moore_quotient, which never builds the n x n relation.  There
+    relation route: blocks are the classes of _simulation_order, numbered
+    by first member, and each block's successors on a class, and the
+    initial states, keep only the blocks that no other block among them
+    strictly simulates, the rule by which _maximal_members prunes
+    complement_weak's sets.  Deterministic input (is_deterministic) takes
+    _moore_quotient, which never builds the n x n relation.  There
     mutual simulation is bisimilarity, a missing successor counting as a
     successor of its own (q simulates p only if q has a successor
     wherever p has one), and each block of the quotient has at most one
@@ -1123,51 +1171,37 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     blocks numbered by first member.  On the Z2 merge compile the
     largest deterministic inputs, 1,296 and 623 states over 32 classes,
     take 14-18 and 9-10 ms by refinement, where the relation takes
-    0.27-0.29 and 0.08 s (2 shared cores; complement_weak's outputs of
-    1,933 and 1,937 states were the largest before it pruned by
-    simulation).
+    0.27-0.29 and 0.08 s (2 shared cores).  Deterministic input is
+    reduced at any size; nondeterministic automata without a simulation
+    order, over _SIM_LIMIT states, are returned unchanged.
 
     When nothing merges or is pruned, A itself is returned, as the
-    rebuilt automaton would equal it.  The relation route leaves the
-    relation on A as bitmasks, above[p] holding the states that simulate
-    p, for complement_weak (_maximal_members) to read instead of
-    computing it again.
-
-    Deterministic input is reduced at any size.  Nondeterministic
-    automata above _SIM_LIMIT states are returned unchanged, since the
-    relation itself is n x n.  The limit of 3000 is well above the
-    largest nondeterministic automaton the TRIV, LP and Z2 merge
-    compiles reduce, 344 states on Z2.  A bound on the packed relation's
-    bytes, part of one budget for every construction, is to replace this
-    state count.
+    rebuilt automaton would equal it.
     """
     n = A.state_count
     if n <= 1:
         return A
     if is_deterministic(A):
         return _moore_quotient(A)
-    if n > _SIM_LIMIT:
+    order = _simulation_order(A)
+    if order is None:
         return A
-    sim = _direct_simulation(A)
-    # each state's block is named by its first equivalent state, and
-    # blocks are numbered in the order of those states
-    block = (sim & sim.T).argmax(axis=1).tolist()
-    number = {b: i for i, b in enumerate(dict.fromkeys(block))}
+    first, strictly = order
+    # blocks are numbered in the order of the states that name them
+    number = {b: i for i, b in enumerate(dict.fromkeys(first))}
     members: list[list[int]] = [[] for _ in number]
-    for p, b in enumerate(block):
+    for p, b in enumerate(first):
         members[number[b]].append(p)
-    # a block stands for its first state in the masks
-    A._sim_above = above = _simulator_masks(sim)
-    bit = [1 << b for b in block]
+    bit = [1 << b for b in first]
 
     def undominated(mask: int) -> tuple[int, ...]:
-        # the blocks in mask that no other block in mask simulates
+        # the blocks in mask that no other block in mask strictly simulates
         out = []
         rest = mask
         while rest:
             low = rest & -rest
             b = low.bit_length() - 1
-            if not above[b] & mask & ~low:
+            if not strictly[b] & mask:
                 out.append(number[b])
             rest ^= low
         return tuple(out)
@@ -1195,57 +1229,27 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
         list(A._letter_class),
         new_rows,
         initial,
-        [number[block[s]] for s in A.accepting],
+        [number[first[s]] for s in A.accepting],
     )
 
 
-def _simulator_masks(sim: np.ndarray) -> list[int]:
-    """Row p of the n x n boolean relation sim as a Python-int bitmask over
-    states: bit q of the p-th mask is sim[p, q]."""
-    nbytes = (len(sim) + 7) // 8
-    buf = np.packbits(sim, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+def _reduce(A: BuchiNfa) -> BuchiNfa:
+    """Trim and reduce by direct simulation until neither changes A.
 
+    Each pass preserves the language, and the passes enable each other,
+    so they loop.
 
-def _maximal_members(A: BuchiNfa) -> Callable[[set[int] | frozenset[int]], frozenset[int]]:
-    """prune(states) keeps, of a set of A's states, the members that no
-    other member strictly simulates, each replaced by the lowest numbered
-    state mutually similar to it.  So it holds one state per maximal class
-    of mutually similar members, and sets that simulate each other member
-    by member prune to the same set.
-
-    The relation is the direct simulation of A as bitmasks, above[p]
-    holding the states that simulate p.  _sim_reduce leaves these masks
-    on every automaton it takes the relation route for, and returns that
-    automaton itself when it changes nothing, so an operand fresh from
-    logic._compact carries them; _direct_simulation runs here only for
-    automata that did not come that way.
+    The loop ends when _sim_reduce returns its input itself, so the
+    result keeps the simulation order that pass computed on it
+    (_simulation_order), and complement_weak of the result prunes by it
+    without running _direct_simulation again.
     """
-    above = A._sim_above
-    if above is None:
-        A._sim_above = above = _simulator_masks(_direct_simulation(A))
-    # strictly[p]: the states that simulate p and that p does not simulate
-    # back; first[p]: the lowest numbered state mutually similar to p
-    strictly, first = [], []
-    for p, mask in enumerate(above):
-        equal = 1 << p
-        rest = mask ^ equal
-        while rest:
-            low = rest & -rest
-            if above[low.bit_length() - 1] >> p & 1:
-                equal |= low
-            rest ^= low
-        strictly.append(mask ^ equal)
-        first.append((equal & -equal).bit_length() - 1)
-    bit = [1 << p for p in range(A.state_count)]
-
-    def prune(states):
-        if len(states) < 2:
-            return frozenset(map(first.__getitem__, states))
-        mask = sum(map(bit.__getitem__, states))
-        return frozenset([first[q] for q in states if not strictly[q] & mask])
-
-    return prune
+    out = _trim(A)
+    while True:
+        reduced = _sim_reduce(out)
+        if reduced is out:
+            return out
+        out = _trim(reduced)
 
 
 # -- text formats ---------------------------------------------------------------

@@ -383,8 +383,8 @@ def atom_less_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
     position, then up to the first strictly later right position, then
     loop.  Some left position has a later right one exactly when the first
     left position does, so no guess is needed.  Products with the atom
-    keep a deterministic operand deterministic, and _compact reduces them
-    by partition refinement instead of the n x n simulation relation.
+    keep a deterministic operand deterministic, and buchi._reduce reduces
+    them by partition refinement instead of the n x n simulation relation.
 
     Built from its four letter classes, one per value of the left and right
     bits: the left bit moves 0 -> 1, the right bit moves 1 -> 2, and a
@@ -402,31 +402,6 @@ def atom_less_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
     return BuchiNfa._make(3, alpha.size, letter_class, class_rows, [0], [2])
 
 
-def _compact(A: BuchiNfa) -> BuchiNfa:
-    """Trim and reduce by direct simulation until neither changes A.
-
-    Each pass preserves the language, and the passes enable each other,
-    so they loop.  buchi._sim_reduce takes one of two routes: Moore's
-    partition refinement for deterministic automata (the flip
-    complements, and products of deterministic operands such as both
-    atoms), at any size, where mutual simulation is bisimilarity and
-    nothing can be pruned, and the n x n simulation relation otherwise,
-    up to buchi._SIM_LIMIT states.  Both give the same automaton on
-    deterministic input, so the route never changes a result.
-
-    The loop ends when _sim_reduce returns its input itself, so on the
-    relation route the result carries the direct simulation that pass
-    built; _negate hands it on, and complement_weak prunes its breakpoint
-    sets by it without computing it again.
-    """
-    out = buchi._trim(A)
-    while True:
-        reduced = buchi._sim_reduce(out)
-        if reduced is out:
-            return out
-        out = buchi._trim(reduced)
-
-
 def _negate(A: BuchiNfa, max_colors: int) -> BuchiNfa:
     """Complement dispatch for the translation pipeline.
 
@@ -442,22 +417,22 @@ def _negate(A: BuchiNfa, max_colors: int) -> BuchiNfa:
     weak = buchi.is_weak(A)
     if buchi.is_deterministic(A):
         if weak:
-            return _compact(buchi.complement_flip(A))
-        return _compact(buchi.complement_deterministic(A))
+            return buchi._reduce(buchi.complement_flip(A))
+        return buchi._reduce(buchi.complement_deterministic(A))
     if weak:
         try:
-            return _compact(buchi.complement_weak(A))
+            return buchi._reduce(buchi.complement_weak(A))
         except buchi.BreakpointBudget:
             pass
-    return _compact(complement(A, max_colors=max_colors))
+    return buchi._reduce(complement(A, max_colors=max_colors))
 
 
 def _conjoin(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     # the plain product is exact for weak operands and keeps them weak,
     # which later negations rely on; otherwise use the two-copy product
     if buchi.is_weak(A) and buchi.is_weak(B):
-        return _compact(buchi.product_weak(A, B))
-    return _compact(buchi.intersection(A, B))
+        return buchi._reduce(buchi.product_weak(A, B))
+    return buchi._reduce(buchi.intersection(A, B))
 
 
 def translate(
@@ -476,12 +451,8 @@ def translate(
     Negations go through _negate, which complements deterministic weak
     intermediates by flipping their acceptance, so those stay
     deterministic.  Intermediate results are trimmed and reduced by
-    direct simulation (_compact), which never changes the language but
-    keeps negations affordable.  Deterministic intermediates are reduced
-    by partition refinement at any size, without the n x n relation, and
-    the others through the relation; on deterministic automata both give
-    the bisimulation quotient, so the result does not depend on the
-    route.
+    direct simulation (buchi._reduce), which never changes the language
+    but keeps negations affordable.
 
     Each distinct subformula is compiled once.  One _fold numbers the
     node objects in postorder by a structural key (kind, names, child
@@ -533,7 +504,7 @@ def translate(
         elif isinstance(node, Not):
             out = _negate(args[0], max_colors)
         else:
-            out = _compact(buchi.ex_project(args[0], alpha.flip_pairs(node.var)))
+            out = buchi._reduce(buchi.ex_project(args[0], alpha.flip_pairs(node.var)))
         done[i] = out
         counts.append(out.state_count)
     if stats is not None:

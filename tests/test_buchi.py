@@ -19,7 +19,7 @@ from oracles import (
     random_weak_buchi,
     scc_index,
 )
-from s1sup import buchi, logic
+from s1sup import buchi
 from s1sup.buchi import (
     AlphabetMismatch,
     BuchiNfa,
@@ -842,7 +842,7 @@ def test_reductions_preserve_language():
     rng = random.Random(430)
     for _ in range(250):
         A = random_buchi(rng, 4, 2)
-        for reduce_fn in (buchi._trim, buchi._sim_reduce, logic._compact):
+        for reduce_fn in (buchi._trim, buchi._sim_reduce, buchi._reduce):
             R = reduce_fn(A)
             assert R.state_count <= A.state_count
             sigma = random_up_word(rng, 2)
@@ -852,7 +852,7 @@ def test_reductions_preserve_language():
     rng = random.Random(432)
     for _ in range(150):
         A = random_buchi(rng, 10, 2, density=0.2)
-        for reduce_fn in (buchi._trim, buchi._sim_reduce, logic._compact):
+        for reduce_fn in (buchi._trim, buchi._sim_reduce, buchi._reduce):
             R = reduce_fn(A)
             assert R.state_count <= A.state_count
             sigma = random_up_word(rng, 2)
@@ -984,13 +984,15 @@ def test_sim_reduce_unreachable_accepting_cycle():
     # initial state, so the language must stay empty after reducing
     A = BuchiNfa(3, 1, [(0, 0, 0), (1, 0, 2)], [1], [0, 1, 2])
     assert not is_satisfiable(A)
-    for reduce_fn in (buchi._sim_reduce, logic._compact):
+    for reduce_fn in (buchi._sim_reduce, buchi._reduce):
         assert not is_satisfiable(reduce_fn(A))
 
 
-def test_sim_reduce_returns_its_input_and_leaves_the_relation_on_it():
+def test_sim_reduce_returns_its_input_and_leaves_the_relation_on_it(monkeypatch):
     # when nothing merges or is pruned the result is A itself; on the
-    # relation route the masks left on A are A's direct simulation
+    # relation route the order left on A is A's direct simulation: q
+    # simulates p iff q strictly does or both have the same first state,
+    # and that state is the least of the class
     rng = random.Random(440)
     kept = rebuilt = 0
     for _ in range(300):
@@ -998,22 +1000,38 @@ def test_sim_reduce_returns_its_input_and_leaves_the_relation_on_it():
         R = buchi._sim_reduce(A)
         assert (R is A) == (R == A)
         if A.state_count > 1 and not is_deterministic(A):
-            pairs = {
-                (p, q)
-                for p, mask in enumerate(A._sim_above)
-                for q in range(A.state_count)
-                if mask >> q & 1
-            }
-            assert pairs == naive_direct_simulation(A), format_nfa(A)
+            first, strictly = A._sim_order
+            assert buchi._simulation_order(A) is A._sim_order
+            states = range(A.state_count)
+            strict = {(p, q) for p in states for q in states if strictly[p] >> q & 1}
+            same = {(p, q) for p in states for q in states if first[q] == first[p]}
+            expected = naive_direct_simulation(A)
+            assert strict | same == expected and not strict & same, format_nfa(A)
+            assert all(
+                first[p] == min(q for q in states if {(p, q), (q, p)} <= expected)
+                for p in states
+            ), format_nfa(A)
             kept += R is A
             rebuilt += R is not A
         else:
-            assert A._sim_above is None
+            assert A._sim_order is None
     assert min(kept, rebuilt) >= 20
-    # _compact's results are fixpoints, so each is its own reduction
+    # _reduce's results are fixpoints, so each is its own reduction
     for _ in range(100):
-        C = logic._compact(_random_simulation_case(rng))
+        C = buchi._reduce(_random_simulation_case(rng))
         assert buchi._sim_reduce(C) is C
+
+    # no order, and no relation built, for deterministic automata and
+    # for nondeterministic ones over the limit
+    def unreachable(A):
+        raise AssertionError("_direct_simulation reached")
+
+    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    for _ in range(30):
+        assert buchi._simulation_order(random_det_weak_buchi(rng)) is None
+    n = buchi._SIM_LIMIT + 1
+    A = BuchiNfa(n, 1, [(p, 0, p + 1) for p in range(n - 1)] + [(0, 0, 2)], [0], [n - 1])
+    assert not is_deterministic(A) and buchi._simulation_order(A) is None
 
 
 def test_trim_returns_its_input_when_it_cuts_nothing():

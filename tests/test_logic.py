@@ -216,7 +216,7 @@ def test_less_atom_is_deterministic_weak_and_accepts_the_guessing_language():
 
 def test_products_with_the_less_atom_take_moore_refinement(monkeypatch):
     # the atom is deterministic, so conjunctions and negations over it stay
-    # deterministic and _compact never builds the simulation relation
+    # deterministic and buchi._reduce never builds the simulation relation
     calls = []
     relation = buchi._direct_simulation
     monkeypatch.setattr(
@@ -230,7 +230,7 @@ def test_products_with_the_less_atom_take_moore_refinement(monkeypatch):
 
 
 def test_weak_complements_of_the_lp_compile_reuse_the_relation(monkeypatch):
-    # every operand of complement_weak comes out of _compact, whose last
+    # every operand of complement_weak comes out of buchi._reduce, whose last
     # _sim_reduce left the relation on it, so none is built inside
     relation, weak = buchi._direct_simulation, buchi.complement_weak
     operands, inside, built_inside = [], [], []
@@ -347,23 +347,31 @@ def test_translate_answers_on_deep_formulas():
 def test_formula_walks_fold_each_shared_node_once():
     # 40 levels of And(f, f) share one node object per level: 41 objects,
     # but 2**40 paths to the atom, so every walk must fold objects, not paths
+    # results are bound to names before each assert: on a failure pytest
+    # prints the operands of the asserted calls, and printing such a
+    # formula spells out every path
     phi, full = Incl("X", "Y"), FoIn("x", "X")
     for _ in range(40):
         phi, full = And(phi, phi), FoAnd(full, full)
-    assert free_min(phi) == {"X", "Y"}
+    free = free_min(phi)
+    assert free == {"X", "Y"}
     found = sat_min(phi, XY)
-    assert found is not None and models_up(found, phi, XY)
+    holds = found is not None and models_up(found, phi, XY)
+    assert holds
     bad = UpInterpretation(sets={"X": bits("1", "0"), "Y": bits("0", "0")})
-    assert not models_up(bad, phi, XY) and not models_up_direct(bad, phi)
-    assert models_up_direct(found, phi)
+    verdicts = (models_up(bad, phi, XY), models_up_direct(bad, phi), models_up_direct(found, phi))
+    assert verdicts == (False, False, True)
     stats = []
     translate(phi, XY, stats=stats)
-    assert len(stats) == 41 and stats[-1][0] is phi
-    assert all(count == 1 for _, count in stats)
+    last_is_phi = stats[-1][0] is phi
+    counts = [count for _, count in stats]
+    assert last_is_phi and counts == [1] * 41
     reduced, variables = reduce_full(full, ("x",), ("X",))
-    assert free_min(reduced) == {"x", "X"} and variables[:2] == ("x", "X")
+    free = free_min(reduced)
+    assert free == {"x", "X"} and variables[:2] == ("x", "X")
     found = sat_full(full, ("x",), ("X",))
-    assert found is not None and up_at(found.sets["X"], found.nums["x"])
+    holds = found is not None and up_at(found.sets["X"], found.nums["x"])
+    assert holds
 
 
 # the formula nodes rebuilt with the methods dataclasses generate
