@@ -454,44 +454,80 @@ def translate(
     direct simulation (buchi._reduce), which never changes the language
     but keeps negations affordable.
 
-    Each distinct subformula is compiled once.  One _fold numbers the
-    node objects in postorder by a structural key (kind, names, child
-    numbers), never by hashing the nodes, as a hash walks the whole
-    subtree on every call.  The distinct nodes are then compiled in number
-    order, and each result is held only until its last use.  When stats
-    is a list, one (node, state count) entry is appended per node object
-    in postorder, a node shared by several parents listed once, the count
-    being that of the node's number.
+    Each subformula is compiled once up to renaming (MONA's DAG with
+    renaming: Elgaard, Klarlund and Moller, CAV 1998).  One _fold gives
+    each node object its variables, the distinct names it mentions, bound
+    or free, in order of first use (its own names, then its subformulas'
+    in order), and its shape: its type, the positions of its names among
+    its variables, and per subformula the shape and the positions of the
+    subformula's variables among the node's.  Shapes are interned to
+    numbers in postorder, so a key never nests and the fold stays linear
+    in the distinct node objects; nodes are never hashed, as a hash walks
+    the whole subtree on every call.  Two nodes have one shape exactly
+    when a one-to-one renaming of variables turns one into the other.
+    The automaton of a node reads only the bits of its variables, so a
+    node with the shape of an earlier one takes that node's automaton
+    with its letters relabelled (buchi._relabel), the bits of its
+    variables moved onto the earlier node's: the states and the
+    transitions are the same.  Shapes are compiled in number order, from
+    their first node, and each shape's automaton is held only until its
+    last use among the subformulas of those first nodes.  When stats is a
+    list, one (node, state count) entry is appended per node object in
+    postorder, a node shared by several parents listed once, the count
+    being that of the node's shape.
     """
     alpha = SetAlphabet(tuple(variables))
-    # the number of each key, per number its first node and child numbers,
-    # and per node object in fold order its number
-    keys: dict[tuple, int] = {}
-    first: list[tuple[MinFormula, tuple[int, ...]]] = []
+    # the number of each shape, per number its first node, that node's
+    # variables and its subformulas' (shape, variables), and per node
+    # object in fold order its shape
+    shapes: dict[tuple, int] = {}
+    first: list[tuple[MinFormula, tuple[str, ...], list]] = []
     numbered: list[tuple[MinFormula, int]] = []
 
-    def number(node, names, kids) -> int:
-        kids = tuple(kids)
-        i = keys.setdefault((type(node), names, kids), len(first))
+    def number(node, names, kids) -> tuple[int, tuple[str, ...]]:
+        own = tuple(dict.fromkeys([*names, *(n for _, kid_names in kids for n in kid_names)]))
+        at = {name: i for i, name in enumerate(own)}.__getitem__
+        key = (
+            type(node),
+            tuple(map(at, names)),
+            tuple((k, tuple(map(at, kid_names))) for k, kid_names in kids),
+        )
+        i = shapes.setdefault(key, len(first))
         if i == len(first):
-            first.append((node, kids))
+            first.append((node, own, kids))
         numbered.append((node, i))
-        return i
+        return i, own
 
     top = _fold(phi, "minimal", number)
+    # every name is checked here, as the atoms a relabelled node stands
+    # for are never built
+    bit = {name: alpha.bit(name) for name in top[1]}
 
-    # a node is numbered after its subformulas, so compiling in number
-    # order finds every operand compiled; each result is held until its
-    # last use among the children of distinct nodes
+    def over(i: int, names: tuple[str, ...]) -> BuchiNfa:
+        # shape i's automaton read over names, its first node's variables
+        # renamed to them: letter a acts as the letter whose bit of each
+        # base name is a's bit of the name in the same position
+        A, base = done[i], first[i][1]
+        if names == base:
+            return A
+        moves = dict(zip(map(bit.__getitem__, names), map(bit.__getitem__, base)))
+        letters = [0]
+        for j in range(len(variables)):
+            to = moves.get(1 << j)
+            letters += [a | to for a in letters] if to else letters
+        return buchi._relabel(A, letters)
+
+    # a shape is numbered after its subformulas' shapes, so compiling in
+    # number order finds every operand compiled
     uses = [0] * len(first)
-    for _, kids in first:
-        for k in kids:
+    for _, _, kids in first:
+        for k, _ in kids:
             uses[k] += 1
     done: dict[int, BuchiNfa] = {}
     counts = []
-    for i, (node, kids) in enumerate(first):
-        args = [done[k] for k in kids]
-        for k in kids:
+    for i, (node, _, kids) in enumerate(first):
+        args = [over(k, kid_names) for k, kid_names in kids]
+        for k, _ in kids:
             uses[k] -= 1
             if not uses[k]:
                 del done[k]
@@ -509,7 +545,7 @@ def translate(
         counts.append(out.state_count)
     if stats is not None:
         stats.extend((node, counts[i]) for node, i in numbered)
-    return done[top]
+    return over(*top)
 
 
 def models_up(

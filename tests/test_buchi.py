@@ -751,6 +751,52 @@ def test_product_with_an_operand_without_initial_state_is_empty(build):
     assert build(inf_ones(), no_start) == empty_nfa(2)
 
 
+def random_det_operand(rng, alphabet):
+    """A deterministic automaton of 0 to 12 states, with missing
+    successors, one in six of the others without an initial state."""
+    if rng.random() < 0.1:
+        return BuchiNfa(0, alphabet, [], [], [])
+    A = random_det_buchi(rng, 12, alphabet)
+    if rng.random() < 1 / 6:
+        return BuchiNfa(A.state_count, alphabet, A.transitions, [], A.accepting)
+    return A
+
+
+def test_array_product_equals_pair_loop(monkeypatch):
+    # product_weak of two deterministic operands takes the array route from
+    # _ARRAY_PRODUCT_PAIRS potential pairs on; with the constant at 0 every
+    # such product takes it, and above every size here none does
+    rng = random.Random(433)
+    arrays, built = buchi._deterministic_product, []
+
+    def recorded(A, B):
+        built.append((A, B))
+        return arrays(A, B)
+
+    def route(pairs, build, A, B):
+        monkeypatch.setattr(buchi, "_ARRAY_PRODUCT_PAIRS", pairs)
+        built.clear()
+        return build(A, B), built[:]
+
+    monkeypatch.setattr(buchi, "_deterministic_product", recorded)
+    crossover, above = buchi._ARRAY_PRODUCT_PAIRS, 13 * 13
+    sizes = []
+    for alphabet in (1, 2, 4, 64):
+        for _ in range(60):
+            A, B = random_det_operand(rng, alphabet), random_det_operand(rng, alphabet)
+            sizes.append(A.state_count * B.state_count)
+            _, chosen = route(crossover, product_weak, A, B)
+            assert chosen == ([(A, B)] if sizes[-1] >= crossover else [])
+            loop, chosen = route(above, product_weak, A, B)
+            assert chosen == []
+            P, chosen = route(0, product_weak, A, B)
+            assert chosen == [(A, B)] and P == loop and P._det is True
+            assert len(P.initial) <= 1 and all(len(r) <= 1 for rows in P._class_rows for r in rows)
+            # the flagged product always takes the pair loop
+            assert route(0, intersection, A, B)[1] == []
+    assert 0 in sizes and min(s for s in sizes if s) < crossover <= max(sizes) < above
+
+
 def scc_uniform(A):
     """Acceptance is constant on each Kosaraju component (scc_index)."""
     edges: dict[int, list[int]] = {}

@@ -252,14 +252,104 @@ def test_weak_complements_of_the_lp_compile_reuse_the_relation(monkeypatch):
     monkeypatch.setattr(buchi, "_direct_simulation", direct_simulation)
     lp = new_semigroup(2, [[0, 0], [1, 1]])
     translate(*reduce_full(phi_merge(lp), MERGE_FIRST_ORDER, merge_second_order(lp)))
-    # nondeterministic operands within the limit: each one was pruned
-    assert len(operands) == 4 and built_inside == []
+    # nondeterministic operands within the limit: each one was pruned; a
+    # negation that renames an earlier one is not compiled again
+    assert len(operands) == 3 and built_inside == []
     assert all(
         not buchi.is_deterministic(A) and A.state_count <= buchi._SIM_LIMIT for A in operands
     )
 
 
 # -- translation ------------------------------------------------------------------
+
+
+def _renamed(phi, pi):
+    """phi with every name n, bound or free, replaced by pi[n]."""
+    def step(node, names, args):
+        return type(node)(*map(pi.get, names), *args)
+
+    return logic._fold(phi, "minimal", step)
+
+
+# two nodes of one type whose subformulas have equal shapes, wired to the
+# node's variables in different orders, so the nodes' shapes differ
+WIRINGS = tuple(
+    And(And(atom("X", "Y"), atom("Y", "X")), Not(And(atom("X", "Y"), atom("X", "Z"))))
+    for atom in (Less, Incl)
+)
+
+# quantified formulas whose automata stay nondeterministic after reduction
+NONDETERMINISTIC = (
+    Ex2("X", And(Less("X", "X"), Not(Less("X", "Y")))),
+    Ex2("Z", And(And(Incl("Z", "X"), Less("Z", "Y")), Not(Less("Z", "X")))),
+)
+
+
+def test_renamed_copies_share_one_compile_and_keep_their_language(monkeypatch):
+    # a subformula that renames an earlier one is not compiled again: it
+    # takes the earlier automaton relabelled, which keeps its simulation
+    # order, so complementing it builds no relation
+    rng = random.Random(487)
+    names = ("X", "Y", "Z", "W")
+    relabel, relation, weak = buchi._relabel, buchi._direct_simulation, buchi.complement_weak
+    relabelled, related, complemented, compiles = [], [], [], []
+
+    def recorded_relabel(A, letters):
+        relabelled.append(relabel(A, letters))
+        return relabelled[-1]
+
+    def recorded_relation(A):
+        related.append(A)
+        return relation(A)
+
+    def recorded_weak(A):
+        complemented.append(A)
+        return weak(A)
+
+    def counted(*args, _fn=logic._conjoin):
+        compiles.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(buchi, "_relabel", recorded_relabel)
+    monkeypatch.setattr(buchi, "_direct_simulation", recorded_relation)
+    monkeypatch.setattr(buchi, "complement_weak", recorded_weak)
+    monkeypatch.setattr(logic, "_conjoin", counted)
+
+    def accepts(A, interp):
+        return membership_up(A, interp_to_upword(interp, names))
+
+    # quantifier free: against the definitions, and one more product than
+    # phi alone needs, the top one
+    for phi in [*WIRINGS, *(random_min_formula(rng, names, 3) for _ in range(60))]:
+        pi = dict(zip(names, rng.sample(names, len(names))))
+        psi = And(phi, _renamed(phi, pi))
+        translate(phi, names)
+        alone = len(compiles)
+        A = translate(psi, names)
+        assert len(compiles) == 2 * alone + 1
+        compiles.clear()
+        for _ in range(10):
+            interp = random_min_interp(rng, names)
+            assert accepts(A, interp) == models_up_direct(interp, psi)
+
+    # quantified: the renamed copy means phi read under the renamed
+    # interpretation, phi compiled on its own; every third phi renames one
+    # whose automaton stays nondeterministic, so that its negation takes
+    # complement_weak
+    for i in range(60):
+        if i % 3:
+            phi = Ex2(rng.choice(names), random_min_formula(rng, names, 3, quantifiers=1))
+        else:
+            phi = _renamed(rng.choice(NONDETERMINISTIC), dict(zip(names, rng.sample(names, 4))))
+        pi = dict(zip(names, rng.sample(names, len(names))))
+        A, P = translate(And(phi, Not(_renamed(phi, pi))), names), translate(phi, names)
+        for _ in range(10):
+            interp = random_min_interp(rng, names)
+            moved = UpInterpretation(sets={v: interp.sets[pi[v]] for v in names})
+            assert accepts(A, interp) == (accepts(P, interp) and not accepts(P, moved))
+    relabelled_complemented = [A for A in complemented if any(A is R for R in relabelled)]
+    relabelled_related = [A for A in related if any(A is R for R in relabelled)]
+    assert len(relabelled_complemented) >= 10 and relabelled_related == []
 
 
 def test_translate_tautology():
@@ -777,17 +867,44 @@ def test_deterministic_reductions_in_compiles_match_relation_route(monkeypatch):
     assert sum(R.state_count < A.state_count for A, R in zip(inputs, refined)) >= 20
 
 
+def _renamed_form(phi):
+    """phi in preorder, each name replaced by its rank in order of first
+    use: equal for two formulas exactly when a one-to-one renaming of
+    variables turns one into the other."""
+    rank: dict[str, int] = {}
+    form = []
+    todo = [phi]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Less, Incl)):
+            names = (node.left, node.right)
+        elif isinstance(node, Ex2):
+            names = (node.var,)
+        else:
+            names = ()
+        form.append((type(node), *(rank.setdefault(n, len(rank)) for n in names)))
+        if isinstance(node, And):
+            todo += [node.right, node.left]
+        elif isinstance(node, (Not, Ex2)):
+            todo.append(node.sub)
+    return tuple(form)
+
+
 def test_translate_compiles_each_distinct_subformula_once(monkeypatch):
+    # once up to renaming: a subformula that renames an earlier one takes
+    # the earlier automaton with its letters relabelled
     triv = new_semigroup(1, [[0]])
     merge, variables = reduce_full(
         phi_merge(triv), MERGE_FIRST_ORDER, merge_second_order(triv)
     )
     distinct = set()
+    shapes = set()
     todo = [merge]
     while todo:
         node = todo.pop()
         if isinstance(node, (And, Not, Ex2)):
             distinct.add(node)
+            shapes.add(_renamed_form(node))
             todo += [node.left, node.right] if isinstance(node, And) else [node.sub]
     calls = []
     for module, name in ((logic, "_conjoin"), (logic, "_negate"), (buchi, "ex_project")):
@@ -798,7 +915,8 @@ def test_translate_compiles_each_distinct_subformula_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     stats = []
     translate(merge, variables, stats=stats)
-    assert len(calls) == len(distinct)
+    compiled, distinct_shapes, distinct_nodes = len(calls), len(shapes), len(distinct)
+    assert compiled == distinct_shapes < distinct_nodes
     assert len(stats) == len(TRIV_NODE_STATES.split()) == 230
     assert " ".join(str(count) for _, count in stats) == TRIV_NODE_STATES.strip()
 
