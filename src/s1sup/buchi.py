@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -943,26 +945,28 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
     transitions and acceptance: both constructions accept the same words,
     and this one has at most as many states.
 
-    The order is _simulation_order(A), read through _maximal_members.  A
-    has none when it is deterministic, and then its sets have at most one
-    member, or over _SIM_LIMIT states; the sets are then built unpruned.
+    The sets are masks, pruned by _maximal_members(A) and stepped by
+    _mask_image over each class's successor masks.  Without a simulation
+    order (A deterministic, when its sets have at most one member, or
+    over _SIM_LIMIT states) they are built unpruned.
     """
     if not is_weak(A):
         raise ValueError("complement_weak needs SCC-uniform acceptance")
-    acc = A.accepting
-    prune = _maximal_members(A)
-    start = (prune(A.initial), prune(A.initial & acc))
-    index: dict[tuple[frozenset[int], frozenset[int]], int] = {start: 0}
+    head, prune = _maximal_members(A)
+    acc = reduce(or_, map(head.__getitem__, A.accepting), 0)
+    succ = [[reduce(or_, map(head.__getitem__, row), 0) for row in rows] for rows in A._class_rows]
+    initial = reduce(or_, map(head.__getitem__, A.initial), 0)
+    start = (prune(initial), prune(initial & acc))
+    index: dict[tuple[int, int], int] = {start: 0}
     order = [start]
-    nclasses = len(A._class_rows)
-    targets: list[list[int]] = [[] for _ in range(nclasses)]
+    targets: list[list[int]] = [[] for _ in succ]
     i = 0
     while i < len(order):
         s, o = order[i]
-        for c, rows in enumerate(A._class_rows):
-            ns = prune({q for p in s for q in rows[p]})
+        for c, rows in enumerate(succ):
+            ns = prune(_mask_image(rows, s))
             if o:
-                no = prune({q for p in o for q in rows[p]} & acc)
+                no = prune(_mask_image(rows, o) & acc)
             else:
                 no = ns & acc
             key = (ns, no)
@@ -1207,11 +1211,11 @@ def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
 
     Deterministic automata need no relation: _sim_reduce refines them by
     _moore_quotient, and their breakpoint sets have at most one member.
-    The relation is n x n, hence the limit; 3000 states is well above
-    the largest nondeterministic automaton the TRIV, LP and Z2 merge
-    compiles reduce, 344 states on Z2.  A bound on the packed relation's
-    bytes, part of one budget for every construction, is to replace this
-    state count.
+    The relation is n x n, hence the limit.  The merge compiles build it
+    for automata of up to 344 states on Z2 and 1,848 on Z3, where one
+    compile builds 32 relations, 8 of them over 224 states or more.  A
+    bound on the packed relation's bytes, part of one budget for every
+    construction, is to replace this state count.
 
     The order is kept on A, so the results of _reduce carry theirs to
     complement_weak (see _reduce).
@@ -1230,27 +1234,31 @@ def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
     return A._sim_order
 
 
-def _maximal_members(A: BuchiNfa) -> Callable[[set[int] | frozenset[int]], frozenset[int]]:
-    """prune(states) keeps, of a set of A's states, the members that no
-    other member strictly simulates, each replaced by the lowest numbered
-    state mutually similar to it, by _simulation_order(A).  So it holds
-    one state per maximal class of mutually similar members, and sets
-    that simulate each other member by member prune to the same set.
-    Where A has no simulation order, prune is frozenset.
+def _maximal_members(A: BuchiNfa) -> tuple[list[int], Callable[[int], int]]:
+    """(head, prune), the one statement of the simulation prune, over
+    bitmasks of A's states.  head[p] is the bit of first[p] from
+    _simulation_order(A); a set of states maps to a representative mask
+    by OR-ing its heads, not summing them, as mutually similar states
+    share one.  prune(mask) keeps the bits of a representative mask that
+    no other bit in it strictly simulates, so masks that simulate each
+    other bit by bit prune to the same mask.  Without an order, head[p]
+    is p's own bit and prune the identity.
     """
     order = _simulation_order(A)
     if order is None:
-        return frozenset
+        return [1 << p for p in range(A.state_count)], lambda mask: mask
     first, strictly = order
-    bit = [1 << p for p in range(A.state_count)]
 
-    def prune(states):
-        if len(states) < 2:
-            return frozenset(map(first.__getitem__, states))
-        mask = sum(map(bit.__getitem__, states))
-        return frozenset([first[q] for q in states if not strictly[q] & mask])
+    def prune(mask):
+        out = rest = mask
+        while rest:
+            low = rest & -rest
+            if strictly[low.bit_length() - 1] & mask:
+                out ^= low
+            rest ^= low
+        return out
 
-    return prune
+    return [1 << b for b in first], prune
 
 
 def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
@@ -1265,22 +1273,24 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
 
     Two routes give that result.  Nondeterministic input takes the
     relation route: blocks are the classes of _simulation_order, numbered
-    by first member, and each block's successors on a class, and the
-    initial states, keep only the blocks that no other block among them
-    strictly simulates, the rule by which _maximal_members prunes
-    complement_weak's sets.  Deterministic input (is_deterministic) takes
-    _moore_quotient, which never builds the n x n relation.  There
-    mutual simulation is bisimilarity, a missing successor counting as a
-    successor of its own (q simulates p only if q has a successor
-    wherever p has one), and each block of the quotient has at most one
-    successor per class and the quotient at most one initial state, so
-    there is nothing to prune: both routes give the same automaton, with
-    blocks numbered by first member.  On the Z2 merge compile the
-    largest deterministic inputs, 1,296 and 623 states over 32 classes,
-    take 14-18 and 9-10 ms by refinement, where the relation takes
-    0.27-0.29 and 0.08 s (2 shared cores).  Deterministic input is
-    reduced at any size; nondeterministic automata without a simulation
-    order, over _SIM_LIMIT states, are returned unchanged.
+    by first member; each block's successors on a class, and the initial
+    states, are pruned by _maximal_members, and a block reads only its
+    first member's successors.  That is enough: if q simulates p, each
+    successor of p is simulated by one of q, so the successors of all
+    members and of the first member alone have the same maximal blocks.
+    Deterministic input (is_deterministic) takes _moore_quotient, which
+    never builds the n x n relation.  There mutual simulation is
+    bisimilarity, a missing successor counting as a successor of its own
+    (q simulates p only if q has a successor wherever p has one), and each
+    block of the quotient has at most one successor per class and the
+    quotient at most one initial state, so there is nothing to prune: both
+    routes give the same automaton, with blocks numbered by first member.
+    On the Z2 merge compile the largest deterministic inputs, 1,296 and
+    623 states over 32 classes, take 14-18 and 9-10 ms by refinement,
+    where the relation takes 0.27-0.29 and 0.08 s (2 shared cores).
+    Deterministic input is reduced at any size; nondeterministic automata
+    without a simulation order, over _SIM_LIMIT states, are returned
+    unchanged.
 
     When nothing merges or is pruned, A itself is returned, as the
     rebuilt automaton would equal it.
@@ -1293,40 +1303,23 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     order = _simulation_order(A)
     if order is None:
         return A
-    first, strictly = order
-    # blocks are numbered in the order of the states that name them
+    first = order[0]
+    head, prune = _maximal_members(A)
+    # blocks are numbered by first member, which is the order of their bits
     number = {b: i for i, b in enumerate(dict.fromkeys(first))}
-    members: list[list[int]] = [[] for _ in number]
-    for p, b in enumerate(first):
-        members[number[b]].append(p)
-    bit = [1 << b for b in first]
 
-    def undominated(mask: int) -> tuple[int, ...]:
-        # the blocks in mask that no other block in mask strictly simulates
+    @cache
+    def blocks(states):
         out = []
-        rest = mask
+        rest = prune(reduce(or_, map(head.__getitem__, states), 0))
         while rest:
             low = rest & -rest
-            b = low.bit_length() - 1
-            if not strictly[b] & mask:
-                out.append(number[b])
+            out.append(number[low.bit_length() - 1])
             rest ^= low
         return tuple(out)
 
-    new_rows = []
-    for rows in A._class_rows:
-        out_rows = []
-        for group in members:
-            mask = 0
-            for p in group:
-                for q in rows[p]:
-                    mask |= bit[q]
-            out_rows.append(undominated(mask))
-        new_rows.append(tuple(out_rows))
-    initial_mask = 0
-    for s in A.initial:
-        initial_mask |= bit[s]
-    initial = undominated(initial_mask)
+    new_rows = [tuple(blocks(rows[b]) for b in number) for rows in A._class_rows]
+    initial = blocks(A.initial)
     if len(number) == n and tuple(new_rows) == A._class_rows and len(initial) == len(A.initial):
         # nothing merged or pruned: the rebuilt automaton would equal A
         return A

@@ -280,6 +280,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # its own text is usually empty
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if verdict.status is not None:
         print(verdict.status)
     if verdict.witness:

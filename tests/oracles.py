@@ -249,6 +249,44 @@ def naive_direct_simulation(A: BuchiNfa) -> set[tuple[int, int]]:
     return rel
 
 
+def naive_sim_quotient(A: BuchiNfa) -> BuchiNfa:
+    """A quotiented by mutual direct simulation and pruned, straight from
+    naive_direct_simulation.
+
+    Blocks are the classes of mutually similar states, numbered by their
+    lowest member.  Among a set of states, a block is maximal when no
+    other block among them strictly simulates it.  Each block's
+    successors on a letter are the maximal blocks among the successors
+    of all its members, and the initial blocks are the maximal blocks
+    among the initial states.  buchi._sim_reduce's relation route reads
+    one member's successors per block; this is its reference.
+    """
+    rel = naive_direct_simulation(A)
+    n = A.state_count
+    lowest = [min(q for q in range(n) if (p, q) in rel and (q, p) in rel) for p in range(n)]
+    number = {b: i for i, b in enumerate(sorted(set(lowest)))}
+
+    def maximal(states):
+        reps = {lowest[q] for q in states}
+        return {
+            number[b]
+            for b in reps
+            if not any((b, c) in rel and (c, b) not in rel for c in reps)
+        }
+
+    succ: dict[tuple[int, int], set[int]] = {}
+    for p, a, q in A.transitions:
+        succ.setdefault((number[lowest[p]], a), set()).add(q)
+    transitions = [(i, a, j) for (i, a), states in succ.items() for j in maximal(states)]
+    return BuchiNfa(
+        len(number),
+        A.alphabet_size,
+        transitions,
+        maximal(A.initial),
+        {number[lowest[s]] for s in A.accepting},
+    )
+
+
 # ------------------------------------------------------- kind factorization
 
 

@@ -12,6 +12,7 @@ from oracles import (
     naive_direct_simulation,
     naive_lasso_exists,
     naive_membership_up,
+    naive_sim_quotient,
     naive_trim,
     random_buchi,
     random_det_buchi,
@@ -596,10 +597,35 @@ def test_maximal_members_drop_strictly_simulated_and_keep_the_lowest_of_equals()
         4, 2, [(0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 0, 1), (3, 1, 3), (0, 0, 2)], [0], [1, 2]
     )
     assert not is_deterministic(A)
-    prune = buchi._maximal_members(A)
-    assert prune({1, 2}) == prune({2}) == prune({1}) == {1}
-    assert prune({0, 3}) == {3} and prune({0, 2, 3}) == {1, 3} and prune({0}) == {0}
-    assert prune(set()) == frozenset()
+    head, prune = buchi._maximal_members(A)
+    assert head == [0b1, 0b10, 0b10, 0b1000]
+
+    def pruned(states):
+        # a set of bits: mutually similar states share one head
+        mask = prune(sum({head[q] for q in states}))
+        return {q for q in range(A.state_count) if mask >> q & 1}
+
+    assert pruned({1, 2}) == pruned({2}) == pruned({1}) == {1}
+    assert pruned({0, 3}) == {3} and pruned({0, 2, 3}) == {1, 3} and pruned({0}) == {0}
+    assert pruned(set()) == set()
+
+
+def test_complement_weak_on_rows_with_mutually_similar_states():
+    # not reduced: 1 and 3 are mutually similar accepting a-loops, both
+    # successors of 0 on a, so 0's successor mask is their one head bit,
+    # bit 1; 2, reached on b, is a rejecting a-loop that 1 strictly
+    # simulates
+    A = BuchiNfa(
+        4, 2, [(0, 0, 1), (0, 0, 3), (1, 0, 1), (3, 0, 3), (0, 1, 2), (2, 0, 2)], [0], [1, 3]
+    )
+    assert is_weak(A) and not is_deterministic(A)
+    head, _ = buchi._maximal_members(A)
+    assert head[1] == head[3] == 0b10
+    C, U = complement_weak(A), breakpoint_complement(A)
+    assert C.state_count <= U.state_count
+    for sigma in up_words(2, 3, 3):
+        outside = not membership_up(A, sigma)
+        assert membership_up(C, sigma) == membership_up(U, sigma) == outside, sigma
 
 
 def test_complement_weak_leaves_deterministic_and_large_operands_unpruned(monkeypatch):
@@ -1174,6 +1200,27 @@ def _quotient_by_mutual_simulation(A):
         {of[s] for s in A.initial},
         {of[s] for s in A.accepting},
     )
+
+
+def test_sim_reduce_relation_route_matches_naive_quotient():
+    # nondeterministic automata of 2-9 states over 1-3 letters; the
+    # relation route reads one member's row per block, the oracle the
+    # rows of all members, which differ in some automata
+    rng = random.Random(441)
+    cases = differing = 0
+    while cases < 1000:
+        A = random_buchi(rng, 9, rng.randint(1, 3))
+        if A.state_count < 2 or is_deterministic(A):
+            continue
+        cases += 1
+        assert buchi._sim_reduce(A) == naive_sim_quotient(A), format_nfa(A)
+        first = buchi._simulation_order(A)[0]
+        differing += any(
+            A.successors(p, a) != A.successors(first[p], a)
+            for p in range(A.state_count)
+            for a in range(A.alphabet_size)
+        )
+    assert differing >= 300
 
 
 def test_sim_reduce_of_deterministic_automata_matches_naive_quotient(monkeypatch):

@@ -38,6 +38,7 @@ from s1sup.syntax import (
     parse_formula,
     parse_interpretation,
 )
+from s1sup import cli
 from s1sup.cli import main
 
 from oracles import random_full_formula, random_min_formula, random_up_word
@@ -774,6 +775,17 @@ class TestErrors:
         captured = capsys.readouterr()
         assert stop.value.code == 2 and captured.out == ""
         assert "argument --max-colors: must be nonnegative, got -3" in captured.err
+
+    def test_out_of_memory_exits_2_not_unsat(self, capsys, tmp_path, monkeypatch):
+        # exit 1 means UNSAT, so running out of memory must not reach it
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sat_min", exhausted)
+        f = write(tmp_path, "f.s1s", "X sub Y\n")
+        code, out, err = run_cli(capsys, "sat", f)
+        assert code == 2 and out == ""
+        assert err == "error: out of memory\n"
 
     def test_semigroup_entry_not_an_integer(self, capsys, tmp_path):
         sg = write(tmp_path, "bad.sg", "semigroup 2\n0 x\n1 1\n")
