@@ -591,7 +591,7 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     in one array that grows with the reachable pairs, never with nA * nB.
     The codes p * nB + q are then sorted, each successor code is mapped
     to its state by binary search, and the rows are read off as in
-    _moore_quotient.
+    _refine.
     """
     nA, nB = A.state_count, B.state_count
     classes_b = len(B._class_rows)
@@ -1147,9 +1147,8 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 
 
 def _successor_table(A: BuchiNfa) -> np.ndarray:
-    """The successors of a deterministic A (is_deterministic) as an
-    array of shape (states, letter classes), state_count where a state has
-    no successor.  _moore_quotient and _deterministic_product read it."""
+    """A's first successor per state and letter class, state_count for
+    none, as an array (states, classes); _refine and _deterministic_product read it."""
     n = A.state_count
     return np.array(
         [[row[0] if row else n for row in rows] for rows in A._class_rows],
@@ -1157,21 +1156,29 @@ def _successor_table(A: BuchiNfa) -> np.ndarray:
     ).reshape(len(A._class_rows), n).T
 
 
-def _moore_quotient(A: BuchiNfa) -> BuchiNfa:
-    """Quotient of a deterministic A (is_deterministic) by bisimilarity,
-    found by Moore's partition refinement.
-
-    Blocks start as accepting and non-accepting states.  A round gives
-    each state the row (its block, the block of its successor on each
-    letter class, -1 where it has none), gathered for all states at once,
-    and numbers the distinct rows in state order; a round that splits no
-    block ends the refinement, after at most n rounds of O(n * classes).
-    Numbering rows in state order numbers the blocks by first member, and
-    the quotient is read off those members.  Returns A itself when no two
-    states merge, as the quotient would then equal A.
+def _refine(A: BuchiNfa) -> BuchiNfa:
+    """Quotient of A by bisimilarity that respects acceptance: Moore's
+    partition refinement, generalised to relations (Paige and Tarjan,
+    SIAM J. Comput. 1987).  Blocks start as accepting and non-accepting
+    states; each round numbers, in state order, the distinct rows (block,
+    then per class the set of successor blocks: -1 if empty, the block if
+    one, else an id past n interned by np.unique among sets of its size),
+    until no block splits.  Only states with several successors on a class
+    have such sets, so a deterministic A pays Moore's cost.  The quotient
+    is read off each block's first member, its rows the sorted blocks of
+    that member's successors; it is A itself when no two states merge.
     """
     n = A.state_count
     succ = _successor_table(A)
+    # (state, 1 + class, list) per list of two or more successors
+    several = [] if is_deterministic(A) else [
+        (p, 1 + c, row) for c, rows in enumerate(A._class_rows)
+        for p, row in enumerate(rows) if len(row) > 1
+    ]
+    if several:
+        at, column, lists = zip(*several)
+        members = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64)
+        owner = np.repeat(np.arange(len(lists)), list(map(len, lists)))
     # block[n] is the block of a missing successor, -1 in every round
     block = np.zeros(n + 1, dtype=np.int64)
     block[n] = -1
@@ -1181,6 +1188,16 @@ def _moore_quotient(A: BuchiNfa) -> BuchiNfa:
     while True:
         table[:, 0] = block[:n]
         table[:, 1:] = block[succ]
+        if several:
+            # sorted (list, block) pairs; ids of w-block sets from n + w * len(lists)
+            of, blocks = np.divmod(np.unique(owner * n + block[members]), n)
+            width = np.bincount(of, minlength=len(lists))
+            code = blocks[np.cumsum(width) - width]
+            for w in np.unique(width[width > 1]).tolist():
+                wide = width == w
+                sets = np.unique(blocks[wide[of]].reshape(-1, w), axis=0, return_inverse=True)[1]
+                code[wide] = n + w * len(lists) + sets.reshape(-1)
+            table[at, column] = code
         ids: dict[tuple[int, ...], int] = {}
         number = [ids.setdefault(tuple(row), len(ids)) for row in table.tolist()]
         block[:n] = number
@@ -1191,14 +1208,12 @@ def _moore_quotient(A: BuchiNfa) -> BuchiNfa:
         return A
     first = np.unique(block[:n], return_index=True)[1]
     single = [(b,) for b in range(count)] + [()]
-    return BuchiNfa._make(
-        count,
-        A.alphabet_size,
-        list(A._letter_class),
-        [tuple(single[t] for t in col) for col in block[succ[first]].T.tolist()],
-        [number[s] for s in A.initial],
-        [number[s] for s in A.accepting],
-    )
+    rows = [list(map(single.__getitem__, col)) for col in block[succ[first]].T.tolist()]
+    for p, c, states in several:
+        if first[number[p]] == p:
+            rows[c - 1][number[p]] = tuple(sorted({number[q] for q in states}))
+    return BuchiNfa._make(count, A.alphabet_size, list(A._letter_class), list(map(tuple, rows)),
+                          [number[s] for s in A.initial], [number[s] for s in A.accepting])
 
 
 def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
@@ -1209,13 +1224,12 @@ def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
     q simulates p exactly when bit q of strictly[p] is set or first[q] ==
     first[p].  _sim_reduce and complement_weak prune by this one order.
 
-    Deterministic automata need no relation: _sim_reduce refines them by
-    _moore_quotient, and their breakpoint sets have at most one member.
-    The relation is n x n, hence the limit.  The merge compiles build it
-    for automata of up to 344 states on Z2 and 1,848 on Z3, where one
-    compile builds 32 relations, 8 of them over 224 states or more.  A
-    bound on the packed relation's bytes, part of one budget for every
-    construction, is to replace this state count.
+    Deterministic automata need no relation: _sim_reduce refines them
+    (_refine), and their breakpoint sets have at most one member.  The
+    relation is n x n, hence the limit.  The merge compiles build it on up
+    to 344 states on Z2 and 1,848 on Z3, whose compile builds 32, 8 of
+    them on 224 states or more.  A bound on the packed relation's bytes,
+    part of one budget for every construction, is to replace this limit.
 
     The order is kept on A, so the results of _reduce carry theirs to
     complement_weak (see _reduce).
@@ -1268,41 +1282,27 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     dominated by a sibling, and dropping dominated initial states all
     preserve the language: any accepting run maps stepwise to one through
     the dominating states, and direct simulation keeps acceptance at every
-    step.  It also merges forward-bisimilar states of equal acceptance, as
-    they simulate each other, so it is the translation's only quotient.
+    step.  Bisimilar states of equal acceptance simulate each other, so
+    this is the translation's only quotient.
 
-    Two routes give that result.  Nondeterministic input takes the
-    relation route: blocks are the classes of _simulation_order, numbered
-    by first member; each block's successors on a class, and the initial
-    states, are pruned by _maximal_members, and a block reads only its
-    first member's successors.  That is enough: if q simulates p, each
+    With a simulation order (_simulation_order), blocks are its classes,
+    numbered by first member; each block's successors on a class, and the
+    initial states, are pruned by _maximal_members, and a block reads only
+    its first member's successors.  That is enough: if q simulates p, each
     successor of p is simulated by one of q, so the successors of all
     members and of the first member alone have the same maximal blocks.
-    Deterministic input (is_deterministic) takes _moore_quotient, which
-    never builds the n x n relation.  There mutual simulation is
-    bisimilarity, a missing successor counting as a successor of its own
-    (q simulates p only if q has a successor wherever p has one), and each
-    block of the quotient has at most one successor per class and the
-    quotient at most one initial state, so there is nothing to prune: both
-    routes give the same automaton, with blocks numbered by first member.
-    On the Z2 merge compile the largest deterministic inputs, 1,296 and
-    623 states over 32 classes, take 14-18 and 9-10 ms by refinement,
-    where the relation takes 0.27-0.29 and 0.08 s (2 shared cores).
-    Deterministic input is reduced at any size; nondeterministic automata
-    without a simulation order, over _SIM_LIMIT states, are returned
-    unchanged.
-
-    When nothing merges or is pruned, A itself is returned, as the
-    rebuilt automaton would equal it.
+    Without one (A deterministic or over _SIM_LIMIT states) _refine
+    quotients A by bisimilarity without the n x n relation (14-18 ms on
+    Z2's 1,296-state deterministic input, where the relation takes 0.27 s
+    or more); _reduce passes the quotient here again.  When nothing merges
+    or is pruned, A itself is returned.
     """
     n = A.state_count
     if n <= 1:
         return A
-    if is_deterministic(A):
-        return _moore_quotient(A)
     order = _simulation_order(A)
     if order is None:
-        return A
+        return _refine(A)
     first = order[0]
     head, prune = _maximal_members(A)
     # blocks are numbered by first member, which is the order of their bits
@@ -1334,7 +1334,7 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
 
 
 def _reduce(A: BuchiNfa) -> BuchiNfa:
-    """Trim and reduce by direct simulation until neither changes A.
+    """Trim and reduce (_sim_reduce) until neither changes A.
 
     Each pass preserves the language, and the passes enable each other,
     so they loop.

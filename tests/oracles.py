@@ -4,9 +4,9 @@ Everything here trades efficiency for obviousness: explicit graph walks,
 exhaustive enumeration with small analytic cutoffs, and generators for
 random instances.  Nothing imports the algorithms under test beyond plain
 data access (transition lists, table lookups), except all_kinds_complement,
-which unions the kind automata of the library (its color closure and kind
-block builder) over every incompatible kind as a reference for the
-complement built over proper kinds only.
+which unions the kind automata of the library (its color closure, kind
+block builder and disjoint union) over every incompatible kind as a
+reference for the complement built over proper kinds only.
 """
 
 from __future__ import annotations
@@ -94,24 +94,19 @@ def naive_membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
 def all_kinds_complement(A: BuchiNfa) -> BuchiNfa:
     """Disjoint union of kind_nfa(A, (v, w)) over every incompatible kind of
     realizable colors, in closure order.  The closure is computed once, and
-    each kind automaton is built from it as kind_nfa builds it."""
+    each kind automaton is built from it as kind_nfa builds it, with a V
+    tracker of its own; the union is buchi._union_many of those blocks."""
+    from s1sup.buchi import _union_many, empty_nfa
     from s1sup.complement import DEFAULT_MAX_COLORS, _closure, _kind_block, compatible
 
     colors, index, first, step, _ = _closure(A, DEFAULT_MAX_COLORS)
-    transitions, initial, accepting = [], [], []
-    offset = 0
-    for v in colors:
-        for w in colors:
-            if compatible(A, (v, w)):
-                continue
-            K = _kind_block(
-                first, step, A._letter_class, A.alphabet_size, [(index[w], (index[v],))]
-            )
-            transitions += [(p + offset, a, q + offset) for p, a, q in K.transitions]
-            initial += [s + offset for s in K.initial]
-            accepting += [s + offset for s in K.accepting]
-            offset += K.state_count
-    return BuchiNfa(offset, A.alphabet_size, transitions, initial, accepting)
+    blocks = [
+        _kind_block(first, step, A._letter_class, A.alphabet_size, [(index[w], (index[v],))])
+        for v in colors
+        for w in colors
+        if not compatible(A, (v, w))
+    ]
+    return _union_many(blocks, A.alphabet_size) if blocks else empty_nfa(A.alphabet_size)
 
 
 def breakpoint_complement(A: BuchiNfa) -> BuchiNfa:
@@ -283,6 +278,58 @@ def naive_sim_quotient(A: BuchiNfa) -> BuchiNfa:
         A.alphabet_size,
         transitions,
         maximal(A.initial),
+        {number[lowest[s]] for s in A.accepting},
+    )
+
+
+def naive_bisim_quotient(A: BuchiNfa) -> BuchiNfa:
+    """A quotiented by its greatest forward bisimulation that respects
+    acceptance, straight from the definition.
+
+    Start from every pair of states with equal acceptance and drop a pair
+    (p, q) while some transition of either state on a letter has no
+    transition of the other on the same letter into a pair still in the
+    set.  Letters are read one by one from the transition list.  Blocks
+    are numbered by their lowest member, and each block's row holds the
+    blocks of that member's successors.  buchi._refine's reference.
+    """
+    succ: dict[tuple[int, int], set[int]] = {}
+    for p, a, q in A.transitions:
+        succ.setdefault((p, a), set()).add(q)
+    n = A.state_count
+    rel = {
+        (p, q)
+        for p in range(n)
+        for q in range(n)
+        if (p in A.accepting) == (q in A.accepting)
+    }
+
+    def matched(p, q, a):
+        theirs = succ.get((q, a), set())
+        return all(any((p2, q2) in rel for q2 in theirs) for p2 in succ.get((p, a), ()))
+
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            if (p, q) in rel and not all(
+                matched(p, q, a) and matched(q, p, a) for a in range(A.alphabet_size)
+            ):
+                rel.discard((p, q))
+                rel.discard((q, p))
+                changed = True
+    lowest = [min(q for q in range(n) if (p, q) in rel) for p in range(n)]
+    number = {b: i for i, b in enumerate(sorted(set(lowest)))}
+    return BuchiNfa(
+        len(number),
+        A.alphabet_size,
+        {
+            (number[p], a, number[lowest[q]])
+            for (p, a), states in succ.items()
+            if lowest[p] == p
+            for q in states
+        },
+        {number[lowest[s]] for s in A.initial},
         {number[lowest[s]] for s in A.accepting},
     )
 

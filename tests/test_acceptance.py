@@ -4,6 +4,7 @@ Run with -rP (the default here) to see the ACCEPTANCE lines for passing
 tests as well.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -12,6 +13,7 @@ from s1sup.buchi import (
     BuchiNfa,
     exact_up_nfa,
     find_match,
+    format_nfa,
     intersection,
     membership_up,
     trans,
@@ -63,6 +65,8 @@ TRIV = new_semigroup(1, [[0]])
 LP = new_semigroup(2, [[0, 0], [1, 1]])
 Z2 = new_semigroup(2, [[0, 1], [1, 0]])
 Z3 = new_semigroup(3, [[(a + b) % 3 for b in range(3)] for a in range(3)])
+# sha256 of format_nfa of Z3's merge compile (test 09)
+Z3_MERGE_SHA256 = "f8a8a01beb51ac12be18fb9538b27308dc5d3c8402584a73e3876b09dcc6bb04"
 
 
 def report(n, label, ok, details):
@@ -347,8 +351,10 @@ def test_09_merging_corpus():
             rejected += 1
 
     # formula route against the definitional check; Z3's compile is the
-    # slowest and the largest, 13 states
-    z3_states = _merge_machine(Z3)[0].state_count
+    # slowest and the largest, 13 states, and its format_nfa is pinned
+    z3 = _merge_machine(Z3)[0]
+    z3_states = z3.state_count
+    z3_pinned = hashlib.sha256(format_nfa(z3).encode()).hexdigest() == Z3_MERGE_SHA256
     formula_checks = 0
     for g in (TRIV, LP, Z2, Z3):
         parts = [
@@ -365,14 +371,14 @@ def test_09_merging_corpus():
                         g, sigma, i, j
                     ):
                         bad += 1
-    ok = bad == 0 and rejected == 0 and z3_states == 13
+    ok = bad == 0 and rejected == 0 and z3_states == 13 and z3_pinned
     report(
         9,
         "merging-corpus",
         ok,
         f"{grid_words} grid words x 3 automata, {total_accepts} totality probes "
         f"({rejected} rejected), {formula_checks} formula checks (Z3 compiled to "
-        f"{z3_states} states), {bad} mismatches",
+        f"{z3_states} states, digest {'pinned' if z3_pinned else 'changed'}), {bad} mismatches",
     )
     assert ok
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     breakpoint_complement,
+    naive_bisim_quotient,
     naive_direct_simulation,
     naive_lasso_exists,
     naive_membership_up,
@@ -1023,10 +1024,41 @@ def test_sim_reduce_leaves_automata_over_the_limit_unchanged():
 
 
 def test_sim_reduce_reduces_deterministic_automata_over_the_limit():
-    # deterministic input takes Moore's refinement at any size
+    # deterministic input has no simulation order, so it is quotiented by
+    # bisimilarity (_refine) at any size
     n = buchi._SIM_LIMIT + 1
     cycle = BuchiNfa(n, 1, [(p, 0, (p + 1) % n) for p in range(n)], [0], range(n))
     assert buchi._sim_reduce(cycle) == loop_one()
+
+
+def test_reduce_refines_nondeterministic_automata_over_the_limit():
+    # two copies of one strongly connected nondeterministic part, each
+    # transition leading into both copies of its target: every state is
+    # reachable and live, and bisimilar to its twin, so the quotient halves
+    # A and fits the limit, where the relation then applies
+    rng = random.Random(442)
+    k = buchi._SIM_LIMIT // 2 + 1
+    part = [(p, 0, (p + 1) % k) for p in range(k)]
+    part += [(p, 0, rng.randrange(k)) for p in rng.sample(range(k), k // 4)]
+    part += [(p, 1, rng.randrange(k)) for p in range(k) if rng.random() < 0.6]
+    accepting = rng.sample(range(k), 60)
+    A = BuchiNfa(
+        2 * k,
+        2,
+        [(j * k + p, a, c * k + q) for p, a, q in part for j in (0, 1) for c in (0, 1)],
+        [0],
+        [j * k + p for j in (0, 1) for p in accepting],
+    )
+    assert not is_deterministic(A) and buchi._trim(A) is A
+    R = buchi._reduce(A)
+    assert R.state_count <= k and R._sim_order is not None and not is_deterministic(R)
+    assert buchi._sim_reduce(R) is R
+    verdicts = [
+        (membership_up(A, sigma), membership_up(R, sigma))
+        for sigma in (random_up_word(rng, 2) for _ in range(100))
+    ]
+    assert all(a == r for a, r in verdicts)
+    assert 5 <= sum(a for a, _ in verdicts) <= 95
 
 
 def test_sim_reduce_merges_mutually_similar_states():
@@ -1249,6 +1281,74 @@ def test_sim_reduce_of_deterministic_automata_matches_naive_quotient(monkeypatch
         large += A.state_count > 64 and R.state_count < A.state_count
     assert min(merged, partial, no_initial, shared) >= 20
     assert large >= 4
+
+
+def _random_copies(rng):
+    """Copies of one random automaton of 1-4 states over 1-3 letters.
+    Each transition leads into a random nonempty set of copies of its
+    target, so copies of a state are bisimilar and many states have
+    several successors in one block, until a few added transitions split
+    some; sometimes a letter copies another's transitions (a shared
+    class)."""
+    alphabet = rng.randint(1, 3)
+    part = random_buchi(rng, 4, alphabet, density=rng.choice((0.2, 0.4)))
+    k, copies = part.state_count, rng.randint(1, 3)
+    n = k * copies
+    trips = [
+        (j * k + p, a, c * k + q)
+        for p, a, q in part.transitions
+        for j in range(copies)
+        for c in rng.sample(range(copies), rng.randint(1, copies))
+    ]
+    trips += [
+        (rng.randrange(n), rng.randrange(alphabet), rng.randrange(n))
+        for _ in range(rng.randint(0, 2))
+    ]
+    if alphabet > 1 and rng.random() < 0.3:
+        src, dst = rng.sample(range(alphabet), 2)
+        trips = [t for t in trips if t[1] != dst] + [(p, dst, q) for p, a, q in trips if a == src]
+    initial = [j * k + p for j in range(copies) for p in part.initial if rng.random() < 0.5]
+    accepting = [j * k + p for j in range(copies) for p in part.accepting]
+    return BuchiNfa(n, alphabet, trips, initial, accepting)
+
+
+def test_refine_matches_naive_bisim_quotient():
+    # one partition refinement for deterministic and nondeterministic input
+    rng = random.Random(443)
+    seen = dict.fromkeys(
+        ("merged", "det_merged", "several_blocks", "partial", "shared", "no_initial"), 0
+    )
+    for i in range(500):
+        if i % 2:
+            A = _random_deterministic(rng, rng.randint(2, 12), rng.randint(1, 3), rng.random() < 0.5)
+        else:
+            A = _random_copies(rng)
+        R = buchi._refine(A)
+        assert R == naive_bisim_quotient(A), format_nfa(A)
+        assert (R is A) == (R.state_count == A.state_count)
+        merged = R.state_count < A.state_count
+        seen["merged" if i % 2 == 0 else "det_merged"] += merged
+        seen["several_blocks"] += any(len(row) > 1 for rows in R._class_rows for row in rows)
+        seen["partial"] += merged and any(not row for rows in A._class_rows for row in rows)
+        seen["shared"] += merged and len(A._class_rows) < A.alphabet_size
+        seen["no_initial"] += not A.initial
+    assert min(seen.values()) >= 50, seen
+
+
+def test_relation_on_the_refined_quotient_matches_the_relation_on_its_input():
+    # bisimilar states are mutually similar, so refining first changes
+    # nothing that the relation route then gives
+    rng = random.Random(444)
+    cases = refined = 0
+    while cases < 300:
+        A = _random_copies(rng) if cases % 2 else _random_simulation_case(rng)
+        if A.state_count < 2 or is_deterministic(A):
+            continue
+        cases += 1
+        Q = buchi._refine(A)
+        refined += Q is not A
+        assert buchi._sim_reduce(Q) == buchi._sim_reduce(A), format_nfa(A)
+    assert refined >= 50
 
 
 def test_direct_simulation_memory_does_not_grow_with_letter_classes():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -49,8 +50,8 @@ from s1sup.logic import (
     upword_to_interp,
 )
 from s1sup import buchi, logic
-from s1sup.buchi import BuchiNfa, membership_up
-from s1sup.encodings import MERGE_FIRST_ORDER, merge_second_order, phi_merge
+from s1sup.buchi import BuchiNfa, format_nfa, membership_up
+from s1sup.encodings import MERGE_FIRST_ORDER, _merge_machine, merge_second_order, phi_merge
 from s1sup.semigroup import UpWord, new_semigroup, up_at, up_equiv
 from s1sup.syntax import parse_formula
 
@@ -840,6 +841,22 @@ def test_translation_node_state_counts_are_pinned():
     for expected in CLI_NODE_STATES:
         phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
         assert _node_states(*reduce_full(phi, FO, SO)) == expected, phi
+
+
+# sha256 of format_nfa of the merge compiles of TRIV, LP and Z2; any change
+# to a construction or reduction that alters a compiled automaton shows
+# here.  Z3's is pinned in test 09 of test_acceptance.py, which compiles it.
+MERGE_COMPILE_SHA256 = {
+    (1, ((0,),)): "45243125bbb84f100643dd82601b00bcf03d4ca15398ae79b15200788002bcf4",
+    (2, ((0, 0), (1, 1))): "e4c936bd014d54b433df0760717e559864ccf5402f6c78c95e98fce3951d18a8",
+    (2, ((0, 1), (1, 0))): "5f0026cf022d4bb2a868468bf1ab6a5bb0a0bdd1bc0cc5836d2ece4450daf9fa",
+}
+
+
+def test_merge_compiles_are_pinned():
+    for (size, table), digest in MERGE_COMPILE_SHA256.items():
+        aut = _merge_machine(new_semigroup(size, table))[0]
+        assert hashlib.sha256(format_nfa(aut).encode()).hexdigest() == digest, table
 
 
 def test_deterministic_reductions_in_compiles_match_relation_route(monkeypatch):
