@@ -772,48 +772,40 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     accepting member, or when it has an edge into a state already marked
     live.  The kept states are whole components of that pass, and they
     are the components of the result, so the pass also tells whether the
-    result is weak, which is kept on it as is_weak would keep it.
+    result is weak, which is kept on it as is_weak would keep it.  The
+    kept states are numbered in order, the rest map to -1, and _read_off
+    builds the result from that map, as it builds _refine's quotients.
     """
-    if A.state_count == 0:
+    n = A.state_count
+    if n == 0:
         return A
     adj = _adjacency(A)
-    live = [False] * A.state_count
+    live = [False] * n
     acc = A.accepting
     weak = True
-    for members, cyclic in _strongly_connected(sorted(A.initial), adj.__getitem__, A.state_count):
+    for members, cyclic in _strongly_connected(sorted(A.initial), adj.__getitem__, n):
         if cyclic and not acc.isdisjoint(members) or any(
             live[q] for s in members for q in adj[s]
         ):
             for s in members:
                 live[s] = True
             weak = weak and (acc.isdisjoint(members) or acc.issuperset(members))
-    keep = [s for s in range(A.state_count) if live[s]]
-    if not keep:
-        out = empty_nfa(A.alphabet_size)
-    elif len(keep) == A.state_count:
+    keep = [s for s in range(n) if live[s]]
+    if len(keep) == n:
         # nothing to cut; the rebuilt automaton would equal A
         out = A
     else:
-        new = {s: i for i, s in enumerate(keep)}
-        class_rows = [
-            tuple(tuple(new[q] for q in rows[s] if q in new) for s in keep)
-            for rows in A._class_rows
-        ]
-        out = BuchiNfa._make(
-            len(keep),
-            A.alphabet_size,
-            A._letter_class,
-            class_rows,
-            [new[s] for s in A.initial if s in new],
-            [new[s] for s in A.accepting if s in new],
-        )
+        block = np.full(n + 1, -1, dtype=np.int64)
+        block[keep] = np.arange(len(keep))
+        out = _read_off(A, _successor_table(A), block, keep)
     out._weak = weak
     return out
 
 
 def is_deterministic(A: BuchiNfa) -> bool:
     """At most one initial state and one successor per state and letter.
-    The answer is kept on A, as is_weak keeps its own."""
+    The answer is kept on A, as is_weak keeps its own, and the trims and
+    quotients of an A known deterministic are marked so (_read_off)."""
     if A._det is None:
         A._det = len(A.initial) <= 1 and all(
             len(row) <= 1 for rows in A._class_rows for row in rows
@@ -1148,12 +1140,38 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 
 def _successor_table(A: BuchiNfa) -> np.ndarray:
     """A's first successor per state and letter class, state_count for
-    none, as an array (states, classes); _refine and _deterministic_product read it."""
+    none, as an array (states, classes); _refine, _read_off (for _trim
+    and _refine) and _deterministic_product read it."""
     n = A.state_count
     return np.array(
         [[row[0] if row else n for row in rows] for rows in A._class_rows],
         dtype=np.int64,
     ).reshape(len(A._class_rows), n).T
+
+
+def _read_off(A: BuchiNfa, succ: np.ndarray, block: np.ndarray, first: list[int]) -> BuchiNfa:
+    """The automaton whose state i is A's state first[i] renamed by block:
+    the one rebuild of _trim and _refine.  block[p] is p's new state, -1
+    when p is dropped, and block[n] is -1 for a missing successor in succ
+    (_successor_table(A)).  Rows are succ gathered through block; only
+    rows of two or more successors are rebuilt in Python, as the sorted
+    set of their kept successors' states.  The initial and accepting
+    states are A's kept ones.  When A is deterministic, so is the result,
+    and it is marked so (never marked nondeterministic).
+    """
+    number = block.tolist()
+    single = [(b,) for b in range(len(first))] + [()]
+    rows = [list(map(single.__getitem__, col)) for col in block[succ[first]].T.tolist()]
+    if not A._det:
+        for old, row in zip(A._class_rows, rows):
+            for i, p in enumerate(first):
+                if len(old[p]) > 1:
+                    row[i] = tuple(sorted({number[q] for q in old[p]} - {-1}))
+    out = BuchiNfa._make(len(first), A.alphabet_size, A._letter_class, list(map(tuple, rows)),
+                         [number[s] for s in A.initial if number[s] >= 0],
+                         [number[s] for s in A.accepting if number[s] >= 0])
+    out._det = A._det or None
+    return out
 
 
 def _refine(A: BuchiNfa) -> BuchiNfa:
@@ -1165,8 +1183,8 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
     one, else an id past n interned by np.unique among sets of its size),
     until no block splits.  Only states with several successors on a class
     have such sets, so a deterministic A pays Moore's cost.  The quotient
-    is read off each block's first member, its rows the sorted blocks of
-    that member's successors; it is A itself when no two states merge.
+    is read off each block's first member (_read_off); it is A itself
+    when no two states merge.
     """
     n = A.state_count
     succ = _successor_table(A)
@@ -1206,14 +1224,7 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
         count = len(ids)
     if count == n:
         return A
-    first = np.unique(block[:n], return_index=True)[1]
-    single = [(b,) for b in range(count)] + [()]
-    rows = [list(map(single.__getitem__, col)) for col in block[succ[first]].T.tolist()]
-    for p, c, states in several:
-        if first[number[p]] == p:
-            rows[c - 1][number[p]] = tuple(sorted({number[q] for q in states}))
-    return BuchiNfa._make(count, A.alphabet_size, list(A._letter_class), list(map(tuple, rows)),
-                          [number[s] for s in A.initial], [number[s] for s in A.accepting])
+    return _read_off(A, succ, block, np.unique(number, return_index=True)[1].tolist())
 
 
 def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:

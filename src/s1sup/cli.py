@@ -44,7 +44,7 @@ from .syntax import (
     parse_interpretation,
 )
 
-_EXIT = {"SAT": 0, "MEMBER": 0, None: 0, "UNSAT": 1, "NONMEMBER": 1, "ERROR": 2}
+_EXIT = {"SAT": 0, "MEMBER": 0, None: 0, "UNSAT": 1, "NONMEMBER": 1}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .buchi import BuchiNfa, _strongly_connected, _union_many, letter_relation
+from .buchi import BuchiNfa, _mask_image, _strongly_connected, _union_many, letter_relation
 from .semigroup import FiniteSemigroup
 
 DEFAULT_MAX_COLORS = 20000
@@ -64,29 +64,16 @@ class Color:
 Kind = tuple[Color, Color]
 
 
-def _compose(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for mask in r:
-        acc = 0
-        m = mask
-        while m:
-            q = (m & -m).bit_length() - 1
-            acc |= s[q]
-            m &= m - 1
-        out.append(acc)
-    return tuple(out)
-
-
 def color_add(v: Color, w: Color) -> Color:
     """Concatenation of profiles; v is the left factor."""
     if len(v.reach) != len(w.reach):
         raise DimensionMismatch(
             f"colors over {len(v.reach)} and {len(w.reach)} states"
         )
-    reach = _compose(v.reach, w.reach)
+    reach = tuple(_mask_image(w.reach, r) for r in v.reach)
     reach_acc = tuple(
-        a | b
-        for a, b in zip(_compose(v.reach_acc, w.reach), _compose(v.reach, w.reach_acc))
+        _mask_image(w.reach, a) | _mask_image(w.reach_acc, r)
+        for a, r in zip(v.reach_acc, v.reach)
     )
     return Color(reach, reach_acc)
 

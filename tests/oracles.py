@@ -481,10 +481,9 @@ def scc_index(n: int, edges: dict[int, list[int]]) -> list[int]:
     return comp
 
 
-def naive_trim(A: BuchiNfa) -> BuchiNfa:
+def naive_kept(A: BuchiNfa) -> list[int]:
     """The states reachable from an initial state that reach an accepting
-    state of a cyclic component (scc_index), renumbered in sorted order,
-    with the transitions, initial and accepting states among them."""
+    state of a cyclic component (scc_index), in sorted order."""
     n = A.state_count
     edges = {p: sorted({q for p2, _, q in A.transitions if p2 == p}) for p in range(n)}
     comp = scc_index(n, edges)
@@ -506,7 +505,13 @@ def naive_trim(A: BuchiNfa) -> BuchiNfa:
                     stack.append(q)
         return seen
 
-    keep = sorted(closure(A.initial, edges) & closure(targets, rev))
+    return sorted(closure(A.initial, edges) & closure(targets, rev))
+
+
+def naive_trim(A: BuchiNfa) -> BuchiNfa:
+    """The states of naive_kept, renumbered in sorted order, with the
+    transitions, initial and accepting states among them."""
+    keep = naive_kept(A)
     new = {s: i for i, s in enumerate(keep)}
     return BuchiNfa(
         len(keep),

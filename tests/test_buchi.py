@@ -11,6 +11,7 @@ from oracles import (
     breakpoint_complement,
     naive_bisim_quotient,
     naive_direct_simulation,
+    naive_kept,
     naive_lasso_exists,
     naive_membership_up,
     naive_sim_quotient,
@@ -1015,8 +1016,9 @@ def test_transpose_of_packed_bits(route, n):
 
 
 def test_sim_reduce_leaves_automata_over_the_limit_unchanged():
-    # nondeterministic, so the relation route and its limit apply: a chain
-    # whose first state also steps to the third
+    # nondeterministic and over the limit, so it has no simulation order
+    # and _refine takes it: a chain whose first state also steps to the
+    # third, where no two states are bisimilar
     n = buchi._SIM_LIMIT + 1
     A = BuchiNfa(n, 1, [(p, 0, p + 1) for p in range(n - 1)] + [(0, 0, 2)], [0], [n - 1])
     assert not is_deterministic(A)
@@ -1182,6 +1184,53 @@ def test_trim_matches_naive_trim():
         assert T == naive_trim(A)
         seen["kept" if T is A else "cut" if T.state_count else "emptied"] += 1
     assert min(seen.values()) >= 30, seen
+    # the read-off: rows of two or more successors that lose their first
+    # one, deterministic inputs that lose states and shared letter classes
+    seen = dict.fromkeys(("first_cut", "cut_to_one", "det_cut", "shared_cut"), 0)
+    for i in range(600):
+        if i % 2:
+            A = _random_deterministic(rng, rng.randint(2, 12), rng.randint(1, 3), rng.random() < 0.5)
+        else:
+            A = random_buchi(rng, 12, 2, density=0.1)
+            if rng.random() < 0.5:
+                # letter 2 copies letter 0
+                trips = A.transitions | {(p, 2, q) for p, a, q in A.transitions if a == 0}
+                A = BuchiNfa(A.state_count, 3, trips, A.initial, A.accepting)
+        det = is_deterministic(A)
+        T = buchi._trim(A)
+        assert T == naive_trim(A), format_nfa(A)
+        assert T._weak is is_weak(BuchiNfa(T.state_count, T.alphabet_size, T.transitions,
+                                           T.initial, T.accepting))
+        assert T._det is (det if T is A else det or None)
+        if T is A:
+            continue
+        kept = set(naive_kept(A))
+        left = [
+            sum(q in kept for q in row)
+            for rows in A._class_rows
+            for p, row in enumerate(rows)
+            if p in kept and len(row) > 1 and row[0] not in kept
+        ]
+        seen["first_cut"] += any(left)
+        seen["cut_to_one"] += 1 in left
+        seen["det_cut"] += det
+        seen["shared_cut"] += len(A._class_rows) < A.alphabet_size
+    assert min(seen.values()) >= 30, seen
+
+
+def test_trim_and_quotient_keep_determinism():
+    # a deterministic input marks its trim and its quotient deterministic
+    A = BuchiNfa(4, 1, [(0, 0, 1), (1, 0, 2), (2, 0, 1), (3, 0, 3)], [0], [1, 2])
+    assert is_deterministic(A)
+    for R in (buchi._trim(A), buchi._refine(A)):
+        assert R.state_count < A.state_count and R._det is True
+    # a nondeterministic input never marks them nondeterministic, because
+    # cutting or merging states can leave one successor per letter
+    A = BuchiNfa(4, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 1), (2, 0, 3)], [0], [1])
+    B = BuchiNfa(3, 1, [(0, 0, 1), (0, 0, 2), (1, 0, 1), (2, 0, 2)], [0], [1, 2])
+    assert not is_deterministic(A) and not is_deterministic(B)
+    for R in (buchi._trim(A), buchi._refine(B)):
+        assert R.state_count == 2 and R._det is None and is_deterministic(R)
 
 
 def _random_deterministic(rng, size, alphabet, complete):
