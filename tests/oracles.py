@@ -485,7 +485,8 @@ def naive_kept(A: BuchiNfa) -> list[int]:
     """The states reachable from an initial state that reach an accepting
     state of a cyclic component (scc_index), in sorted order."""
     n = A.state_count
-    edges = {p: sorted({q for p2, _, q in A.transitions if p2 == p}) for p in range(n)}
+    transitions = A.transitions
+    edges = {p: sorted({q for p2, _, q in transitions if p2 == p}) for p in range(n)}
     comp = scc_index(n, edges)
     cyclic = {comp[p] for p in range(n) if p in edges[p]}
     cyclic |= {c for c in comp if comp.count(c) > 1}

@@ -792,7 +792,7 @@ def random_det_operand(rng, alphabet):
 
 def test_array_product_equals_pair_loop(monkeypatch):
     # product_weak of two deterministic operands takes the array route from
-    # _ARRAY_PRODUCT_PAIRS potential pairs on; with the constant at 0 every
+    # _ARRAY_CROSSOVER potential pairs on; with the constant at 0 every
     # such product takes it, and above every size here none does
     rng = random.Random(433)
     arrays, built = buchi._deterministic_product, []
@@ -802,12 +802,12 @@ def test_array_product_equals_pair_loop(monkeypatch):
         return arrays(A, B)
 
     def route(pairs, build, A, B):
-        monkeypatch.setattr(buchi, "_ARRAY_PRODUCT_PAIRS", pairs)
+        monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", pairs)
         built.clear()
         return build(A, B), built[:]
 
     monkeypatch.setattr(buchi, "_deterministic_product", recorded)
-    crossover, above = buchi._ARRAY_PRODUCT_PAIRS, 13 * 13
+    crossover, above = buchi._ARRAY_CROSSOVER, 13 * 13
     sizes = []
     for alphabet in (1, 2, 4, 64):
         for _ in range(60):
@@ -1398,6 +1398,146 @@ def test_relation_on_the_refined_quotient_matches_the_relation_on_its_input():
         refined += Q is not A
         assert buchi._sim_reduce(Q) == buchi._sim_reduce(A), format_nfa(A)
     assert refined >= 50
+
+
+def _fresh(A):
+    """A copy of A built from its transitions, with nothing stored on it."""
+    return BuchiNfa(A.state_count, A.alphabet_size, A.transitions, A.initial, A.accepting)
+
+
+def _assert_stored_facts(R):
+    """What R keeps about itself is what a fresh copy computes: its
+    weakness, its determinism and its successor table."""
+    F = _fresh(R)
+    assert F == R
+    for stored, computed in ((R._weak, is_weak), (R._det, is_deterministic)):
+        assert stored is None or stored is computed(F), format_nfa(R)
+    if R._table is not None:
+        assert R._table.shape == (R.state_count, len(R._class_rows))
+        assert (R._table == buchi._successor_table(F)).all(), format_nfa(R)
+
+
+def _fully_live(rng, size, alphabet):
+    """A complete deterministic automaton whose letter 0 runs through all
+    states in one cycle, so every state is reachable and, with at least
+    one accepting state, live; the other letters go anywhere."""
+    order = rng.sample(range(size), size)
+    step = {p: q for p, q in zip(order, order[1:] + order[:1])}
+    trips = [(p, 0, step[p]) for p in range(size)]
+    trips += [(p, a, rng.randrange(size)) for p in range(size) for a in range(1, alphabet)]
+    accepting = rng.sample(range(size), rng.randint(1, size))
+    return BuchiNfa(size, alphabet, trips, [rng.randrange(size)], accepting)
+
+
+def _twinned(rng, D):
+    """D's states twice over: each transition of D leads into both copies
+    of its target, so each state is bisimilar to its twin, until a few
+    added transitions split some pairs."""
+    n = D.state_count
+    trips = [
+        (j * n + p, a, c * n + q) for p, a, q in D.transitions for j in (0, 1) for c in (0, 1)
+    ]
+    trips += [
+        (rng.randrange(2 * n), rng.randrange(D.alphabet_size), rng.randrange(2 * n))
+        for _ in range(rng.randint(0, 3))
+    ]
+    initial = [j * n + s for s in D.initial for j in rng.sample((0, 1), rng.randint(1, 2))]
+    accepting = [j * n + s for s in D.accepting for j in (0, 1)]
+    return BuchiNfa(2 * n, D.alphabet_size, trips, initial, accepting)
+
+
+def _large_case(rng, i):
+    """Automata at or over the array crossover, by turns: deterministic
+    copies of a small automaton (_random_deterministic, 64-300 states)
+    with its accepting copies or with random accepting states, complete
+    and fully live deterministic ones (64-300 states), and nondeterministic
+    twins (64-240 states)."""
+    kind = i % 4
+    if kind == 2:
+        return _fully_live(rng, rng.randint(64, 300), rng.randint(1, 3))
+    if kind == 3:
+        return _twinned(rng, _random_deterministic(rng, rng.randint(32, 120), rng.randint(1, 3),
+                                                   rng.random() < 0.5))
+    A = _random_deterministic(rng, rng.randint(64, 300), rng.randint(1, 3), rng.random() < 0.5)
+    if kind == 1:
+        n = A.state_count
+        A = BuchiNfa(n, A.alphabet_size, A.transitions, A.initial,
+                     rng.sample(range(n), rng.randint(0, n)))
+    return A
+
+
+def test_array_trim_and_refine_match_naive_oracles():
+    # from _ARRAY_CROSSOVER states on, a deterministic automaton is trimmed
+    # on its successor table, and the rows of every automaton are numbered
+    # by np.unique; both routes must give the oracles' automata, and every
+    # result must store true facts about itself
+    rng = random.Random(445)
+    seen = dict.fromkeys(
+        ("cut", "kept", "emptied", "not_weak", "table_kept", "merged", "not_merged"), 0
+    )
+    for i in range(140):
+        A = _large_case(rng, i)
+        assert A.state_count >= buchi._ARRAY_CROSSOVER
+        seen["not_weak"] += not is_weak(_fresh(A))
+        T = buchi._trim(A)
+        assert T == naive_trim(A), format_nfa(A)
+        assert T._weak is not None
+        _assert_stored_facts(T)
+        seen["kept" if T is A else "cut" if T.state_count else "emptied"] += 1
+        seen["table_kept"] += T is not A and T._table is not None
+        if i % 5:
+            continue
+        R = buchi._refine(A)
+        assert R == naive_bisim_quotient(A), format_nfa(A)
+        assert (R is A) == (R.state_count == A.state_count)
+        _assert_stored_facts(R)
+        seen["merged" if R is not A else "not_merged"] += 1
+    assert min(seen[k] for k in ("cut", "kept", "emptied", "not_weak", "table_kept")) >= 30, seen
+    assert min(seen["merged"], seen["not_merged"]) >= 5, seen
+
+
+def test_products_and_complements_store_true_facts():
+    # complement_flip and complement_weak build deterministic automata, and
+    # products of two operands known deterministic are deterministic on
+    # either route; complement_flip and product_weak of weak operands are
+    # weak.  Each is marked so, and each mark is true.
+    rng = random.Random(446)
+    arrays = tables = 0
+    for _ in range(150):
+        A = random_det_weak_buchi(rng, max_states=12)
+        B = random_det_weak_buchi(rng, max_states=12)
+        assert is_deterministic(A) and is_weak(A) and is_deterministic(B) and is_weak(B)
+        F = complement_flip(A)
+        assert F._det is True and F._weak is True
+        C = complement_weak(A)
+        assert C._det is True
+        P = product_weak(A, B)
+        assert P._det is True and P._weak is True
+        I = intersection(A, B)
+        assert I._det is True
+        for R in (F, C, P, I):
+            _assert_stored_facts(R)
+        arrays += A.state_count * B.state_count >= buchi._ARRAY_CROSSOVER
+        tables += P._table is not None
+    # products on arrays, half of which hand over their table
+    assert arrays >= 30 and tables >= 15
+    for _ in range(150):
+        A = random_weak_buchi(rng, 5, 2)
+        B = random_weak_buchi(rng, 5, 2)
+        assert is_weak(A) and is_weak(B)
+        P = product_weak(A, B)
+        assert P._weak is True
+        C = complement_weak(A)
+        for R in (P, C):
+            _assert_stored_facts(R)
+    # operands not known weak or deterministic mark nothing false
+    not_weak = 0
+    for _ in range(150):
+        A, B = random_buchi(rng, 5, 2), random_buchi(rng, 5, 2)
+        for R in (product_weak(A, B), intersection(A, B)):
+            _assert_stored_facts(R)
+            not_weak += not is_weak(_fresh(R))
+    assert not_weak >= 30
 
 
 def test_direct_simulation_memory_does_not_grow_with_letter_classes():
