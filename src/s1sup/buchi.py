@@ -600,8 +600,8 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     two successor tables (_successor_table), and the pairs seen are held
     in one array that grows with the reachable pairs, never with nA * nB.
     The codes p * nB + q are then sorted, and each successor code is
-    mapped to its state by binary search: the result's successor table,
-    read off into class rows and handed over (_successor_table).
+    mapped to its state by binary search: the result's successor table
+    (_from_table).
     """
     nA, nB = A.state_count, B.state_count
     classes_b = len(B._class_rows)
@@ -627,23 +627,12 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     order = np.argsort(seen)
     codes, targets = seen[order], np.concatenate(layers)[order]
     states = np.where(targets >= 0, np.searchsorted(codes, targets), codes.size)
-    single = [(s,) for s in range(codes.size)] + [()]
     acc_a, acc_b = np.zeros(nA, dtype=bool), np.zeros(nB, dtype=bool)
     acc_a[list(A.accepting)] = True
     acc_b[list(B.accepting)] = True
-    letter_class = tuple(letter_class.tolist())
-    out = BuchiNfa._make(
-        codes.size,
-        A.alphabet_size,
-        letter_class,
-        [tuple(map(single.__getitem__, col)) for col in states.T.tolist()],
-        np.searchsorted(codes, start).tolist(),
-        np.flatnonzero(acc_a[codes // nB] & acc_b[codes % nB]).tolist(),
-    )
-    out._det = True
-    if out._letter_class is letter_class:
-        out._table = states
-    return out
+    return _from_table(states, A.alphabet_size, letter_class.tolist(),
+                       np.searchsorted(codes, start).tolist(),
+                       np.flatnonzero(acc_a[codes // nB] & acc_b[codes % nB]).tolist())
 
 
 def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
@@ -818,7 +807,7 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     else:
         block = np.full(n + 1, -1, dtype=np.int64)
         block[keep] = np.arange(len(keep))
-        out = _read_off(A, _successor_table(A), block, keep)
+        out = _read_off(A, block, keep)
     if weak is None:
         is_weak(out)
     else:
@@ -867,9 +856,9 @@ def _kept_on_table(A: BuchiNfa) -> np.ndarray:
 def is_deterministic(A: BuchiNfa) -> bool:
     """At most one initial state and one successor per state and letter.
     The answer is kept on A, as is_weak keeps its own.  Results that are
-    deterministic by construction are marked so: complement_flip,
-    complement_weak, the products of two operands known deterministic,
-    and the trims and quotients of an A known deterministic (_read_off)."""
+    deterministic by construction are marked so: those built from a
+    successor table (_from_table) and the pair loop's products of two
+    operands known deterministic (_product)."""
     if A._det is None:
         A._det = len(A.initial) <= 1 and all(
             len(row) <= 1 for rows in A._class_rows for row in rows
@@ -946,22 +935,19 @@ def complement_flip(A: BuchiNfa) -> BuchiNfa:
     (Loding, IPL 2001; Kupferman and Vardi, ACM TOCL 2001).  The result
     is deterministic and weak, and keeps A's states, numbers and letter
     classes, the sink being state n.  Exact only for deterministic weak
-    input.  It is marked deterministic and weak: the sink only loops, so
-    the components are A's, each uniform and flipped whole, and the
-    sink's.
+    input.  Its table is A's plus a sink row, A's value n for none being
+    the sink.  It is marked weak: the sink only loops, so the components
+    are A's, each uniform and flipped whole, and the sink's.
     """
     if not (is_deterministic(A) and is_weak(A)):
         raise ValueError("complement_flip needs a deterministic weak automaton")
     if not A.initial:
         return _universal(A.alphabet_size)
     n = A.state_count
-    rows_by_class = [
-        tuple(row or (n,) for row in rows) + ((n,),) for rows in A._class_rows
-    ]
+    table = np.concatenate((_successor_table(A), np.full((1, len(A._class_rows)), n)))
     accepting = [p for p in range(n) if p not in A.accepting] + [n]
-    out = BuchiNfa._make(n + 1, A.alphabet_size, list(A._letter_class),
-                         rows_by_class, list(A.initial), accepting)
-    out._det = out._weak = True
+    out = _from_table(table, A.alphabet_size, A._letter_class, A.initial, accepting)
+    out._weak = True
     return out
 
 
@@ -1040,12 +1026,9 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
                 order.append(key)
             targets[c].append(j)
         i += 1
-    rows_by_class = [tuple((t,) for t in col) for col in targets]
+    table = np.array(targets, dtype=np.int64).reshape(len(targets), len(order)).T
     accepting = [j for j, (_, o) in enumerate(order) if not o]
-    out = BuchiNfa._make(len(order), A.alphabet_size, list(A._letter_class),
-                         rows_by_class, [0], accepting)
-    out._det = True  # one initial state, one target per state and class
-    return out
+    return _from_table(table, A.alphabet_size, A._letter_class, [0], accepting)
 
 
 def product_weak(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
@@ -1065,10 +1048,9 @@ def product_weak(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
 
 
 def _universal(alphabet_size: int) -> BuchiNfa:
-    """One accepting state looping on every letter, marked deterministic
-    and weak."""
-    out = BuchiNfa._make(1, alphabet_size, [0] * alphabet_size, [((0,),)], [0], [0])
-    out._det = out._weak = True
+    """One accepting state looping on every letter, marked weak."""
+    out = _from_table(np.array([[0]]), alphabet_size, [0] * alphabet_size, [0], [0])
+    out._weak = True
     return out
 
 
@@ -1219,11 +1201,8 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 
 def _successor_table(A: BuchiNfa) -> np.ndarray:
     """A's first successor per state and letter class, state_count for
-    none, as an array (states, classes), built once and kept on A; no
-    caller writes to it.  _deterministic_product and _read_off hand over
-    the tables of deterministic results when _make keeps their class
-    numbering, which shows as A._letter_class being the very tuple they
-    passed (tuple() hands back its input)."""
+    none, as an array (states, classes), built once and kept on A unless
+    _from_table handed it over; no caller writes to it."""
     if A._table is None:
         n = A.state_count
         A._table = np.array(
@@ -1233,38 +1212,55 @@ def _successor_table(A: BuchiNfa) -> np.ndarray:
     return A._table
 
 
-def _read_off(
-    A: BuchiNfa, succ: np.ndarray, block: np.ndarray, first: list[int] | np.ndarray
-) -> BuchiNfa:
+def _from_table(table: np.ndarray, alphabet_size: int, letter_class: Sequence[int],
+                initial: Iterable[int], accepting: Iterable[int]) -> BuchiNfa:
+    """The automaton with successor table table, (states, classes) with the
+    row count for none, and at most one initial state: the one place that
+    builds a deterministic automaton from a table.  The class rows are read
+    off once, and the result is marked deterministic.  The table is handed
+    over, kept as the result's _successor_table, when _make keeps the class
+    numbering, which shows as the result holding the very letter_class
+    tuple passed (tuple() hands back its input), and the result has a
+    class per column: a column no letter uses has none.
+    """
+    letter_class = tuple(letter_class)
+    n, classes = table.shape
+    single = [(s,) for s in range(n)] + [()]
+    out = BuchiNfa._make(n, alphabet_size, letter_class,
+                         [tuple(map(single.__getitem__, col)) for col in table.T.tolist()],
+                         initial, accepting)
+    out._det = True
+    if out._letter_class is letter_class and len(out._class_rows) == classes:
+        out._table = table
+    return out
+
+
+def _read_off(A: BuchiNfa, block: np.ndarray, first: list[int] | np.ndarray) -> BuchiNfa:
     """The automaton whose state i is A's state first[i] renamed by block:
     the one rebuild of _trim and _refine.  block[p] is p's new state, -1
-    when p is dropped, and block[n] is -1 for a missing successor in succ
-    (_successor_table(A)).  Rows are succ gathered through block; only
-    rows of two or more successors are rebuilt in Python, as the sorted
-    set of their kept successors' states.  The initial and accepting
-    states are A's kept ones.  When A is deterministic, so is the result,
-    and it is marked so (never marked nondeterministic), and the gathered
-    table is its successor table, handed over (_successor_table).
+    when p is dropped, and block[n] is -1 for a missing successor.  Rows
+    are _successor_table(A) gathered through block: for an A known
+    deterministic, the result's table (_from_table).  Otherwise only rows
+    of two or more successors are rebuilt in Python, as the sorted set of
+    their kept successors' states.  The initial and accepting states are
+    A's kept ones.
     """
     m = len(first)
     number = block.tolist()
-    table = block[succ[first]]
+    table = block[_successor_table(A)[first]]
+    initial = [number[s] for s in A.initial if number[s] >= 0]
+    accepting = [number[s] for s in A.accepting if number[s] >= 0]
+    if A._det:
+        table[table < 0] = m
+        return _from_table(table, A.alphabet_size, A._letter_class, initial, accepting)
     single = [(b,) for b in range(m)] + [()]
     rows = [list(map(single.__getitem__, col)) for col in table.T.tolist()]
-    if not A._det:
-        for old, row in zip(A._class_rows, rows):
-            for i, p in enumerate(first):
-                if len(old[p]) > 1:
-                    row[i] = tuple(sorted({number[q] for q in old[p]} - {-1}))
-    out = BuchiNfa._make(m, A.alphabet_size, A._letter_class, list(map(tuple, rows)),
-                         [number[s] for s in A.initial if number[s] >= 0],
-                         [number[s] for s in A.accepting if number[s] >= 0])
-    if A._det:
-        out._det = True
-        if out._letter_class is A._letter_class:
-            table[table < 0] = m
-            out._table = table
-    return out
+    for old, row in zip(A._class_rows, rows):
+        for i, p in enumerate(first):
+            if len(old[p]) > 1:
+                row[i] = tuple(sorted({number[q] for q in old[p]} - {-1}))
+    return BuchiNfa._make(m, A.alphabet_size, A._letter_class, list(map(tuple, rows)),
+                          initial, accepting)
 
 
 def _refine(A: BuchiNfa) -> BuchiNfa:
@@ -1334,7 +1330,7 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
         return A
     # each block's first member, in block order
     first = np.unique(block[:n], return_index=True)[1].tolist()
-    out = _read_off(A, succ, block, first)
+    out = _read_off(A, block, first)
     if A._weak:
         out._weak = True
     return out

@@ -450,9 +450,10 @@ def translate(
     without a quantifier compiles to a deterministic automaton.
     Negations go through _negate, which complements deterministic weak
     intermediates by flipping their acceptance, so those stay
-    deterministic.  Intermediate results are trimmed and reduced by
-    direct simulation (buchi._reduce), which never changes the language
-    but keeps negations affordable.
+    deterministic.  Intermediate results are trimmed and reduced
+    (buchi._reduce), which never changes the language but keeps
+    negations affordable: nondeterministic ones by direct simulation,
+    deterministic ones, most of them, by partition refinement.
 
     Each subformula is compiled once up to renaming (MONA's DAG with
     renaming: Elgaard, Klarlund and Moller, CAV 1998).  One _fold gives

@@ -1540,6 +1540,55 @@ def test_products_and_complements_store_true_facts():
     assert not_weak >= 30
 
 
+def test_flips_and_breakpoint_complements_carry_their_tables():
+    # both are built from a successor table over A's letter classes:
+    # complement_flip's classes stay distinct, as the sink completes only
+    # empty rows, so it always keeps its table; complement_weak keeps its
+    # table exactly when no two of A's classes give equal target columns
+    rng = random.Random(447)
+    kept = {"det": 0, "nondet": 0}
+    for i in range(400):
+        if i % 2:
+            A = random_weak_buchi(rng, 5, 2)
+        else:
+            A = random_det_weak_buchi(rng, max_states=12)
+            F = complement_flip(A)
+            assert F._table is not None, format_nfa(A)
+            _assert_stored_facts(F)
+        C = complement_weak(A)
+        assert (C._table is not None) == (len(C._class_rows) == len(A._class_rows))
+        _assert_stored_facts(C)
+        kept["nondet" if i % 2 else "det"] += C._table is not None
+    assert 150 <= kept["det"] < 200 and 80 <= kept["nondet"] < 200, kept
+
+
+def test_table_handover_guard_on_edge_cases():
+    no_letters = [empty_nfa(0), BuchiNfa(1, 0, [], [0], [0]), BuchiNfa(70, 0, [], [0], [0])]
+    cycle = BuchiNfa(70, 1, [(p, 0, (p + 1) % 70) for p in range(70)], [], range(70))
+    # letter 1 differs from letter 0 only on the unreachable state 1, so
+    # the breakpoint complement's two target columns are equal
+    unused = BuchiNfa(2, 2, [(0, 0, 0), (1, 0, 1), (0, 1, 0)], [0], [0])
+    results = [complement_flip(A) for A in no_letters + [cycle]]
+    results += [complement_weak(A) for A in no_letters + [cycle, unused]]
+    results += [build(A, B) for build in (product_weak, intersection)
+                for A in no_letters[1:] + [cycle] for B in (no_letters[1], cycle)
+                if A.alphabet_size == B.alphabet_size]
+    results += [buchi._trim(cycle), buchi._refine(cycle), buchi._universal(0)]
+    for R in results:
+        _assert_stored_facts(R)
+    merged = complement_weak(unused)
+    assert len(merged._class_rows) == 1 and merged._table is None
+    assert complement_flip(no_letters[1])._table.shape == (2, 0)
+    # a column no letter uses has no class, so the table is not handed over
+    table = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    R = buchi._from_table(table, 1, [0], [0], [1])
+    assert R == BuchiNfa(2, 1, [(0, 0, 0), (1, 0, 1)], [0], [1]) and R._table is None
+    _assert_stored_facts(R)
+    R = buchi._from_table(table, 2, [0, 1], [0], [1])
+    assert R._table is table
+    _assert_stored_facts(R)
+
+
 def test_direct_simulation_memory_does_not_grow_with_letter_classes():
     # 1000 states over 32 letter classes: a transpose of every class at
     # once would hold two byte arrays of 32 * n * n bytes, 64 MB in all
