@@ -598,10 +598,12 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     renumbers them by first letter, the order of the pair loop.  A BFS
     from the initial pair expands one whole layer at a time through the
     two successor tables (_successor_table), and the pairs seen are held
-    in one array that grows with the reachable pairs, never with nA * nB.
-    The codes p * nB + q are then sorted, and each successor code is
-    mapped to its state by binary search: the result's successor table
-    (_from_table).
+    in arrays that grow with the reachable pairs, never with nA * nB: in
+    the order found, and sorted, which tells a layer's new pairs by binary
+    search.  A layer's targets are deduplicated by sorting, not by
+    np.unique, whose hashing is slower here.  The codes p * nB + q are
+    then sorted, and each successor code is mapped to its state by binary
+    search: the result's successor table (_from_table).
     """
     nA, nB = A.state_count, B.state_count
     classes_b = len(B._class_rows)
@@ -612,7 +614,7 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     ca, cb = np.divmod(pairs, classes_b)
     succ_a, succ_b = _successor_table(A)[:, ca], _successor_table(B)[:, cb]
     start = [p * nB + q for p in A.initial for q in B.initial]
-    frontier = seen = np.array(start, dtype=np.int64)
+    frontier = seen = known = np.array(start, dtype=np.int64)
     # per layer, the successor codes of its pairs, -1 for none
     layers = [np.empty((0, pairs.size), dtype=np.int64)]
     while frontier.size:
@@ -621,8 +623,12 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
         targets = ta * nB + tb
         targets[(ta == nA) | (tb == nB)] = -1
         layers.append(targets)
-        found = np.unique(targets[targets >= 0])
-        frontier = found[~np.isin(found, seen, assume_unique=True)]
+        found = np.sort(targets[targets >= 0])
+        found = found[np.diff(found, prepend=-1) != 0]
+        at = np.searchsorted(known, found)
+        fresh = known.take(at, mode="clip") != found
+        frontier = found[fresh]
+        known = np.insert(known, at[fresh], frontier)
         seen = np.concatenate((seen, frontier))
     order = np.argsort(seen)
     codes, targets = seen[order], np.concatenate(layers)[order]
@@ -651,21 +657,26 @@ def intersection(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     return _product(A, B, True)
 
 
-def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
-    """Letter relaxation: for every transition (p, a, q) and every pair
-    (a, b), the transition (p, b, q) is added.
+def ex_project(A: BuchiNfa, bit: int) -> BuchiNfa:
+    """Existential projection of one letter bit: the automaton over the
+    letters without bit, on which letter b acts as both of A's letters
+    that agree with b off bit, so a transition (p, a, q) of A is read on
+    a with bit dropped.  The result has half A's alphabet.
 
-    Letter b gets the rows of its own class and of each partner a's class,
-    so its key is the bitmask of those classes, and the rows of each
-    distinct key are built once: the work per letter is one mask update
-    per pair and one dictionary lookup."""
+    Each letter merges the class rows of its pair of A's letters: its key
+    is the bitmask of the pair's classes, and the rows of each distinct
+    key are built once, so the work per letter is one key and one
+    dictionary lookup."""
     size = A.alphabet_size
-    bit = [1 << c for c in A._letter_class]
-    key = bit[:]
-    for a, b in pairs:
-        if not (0 <= a < size and 0 <= b < size):
-            raise ValueError(f"pair ({a},{b}) outside the alphabet")
-        key[b] |= bit[a]
+    if bit <= 0 or bit & (bit - 1) or bit >= size:
+        raise ValueError(f"bit {bit} is no letter bit of an alphabet of size {size}")
+    lc = A._letter_class
+    # A's letters in runs of bit letters, alternately without and with bit
+    key = [
+        1 << lc[a] | 1 << lc[a + bit]
+        for start in range(0, size, 2 * bit)
+        for a in range(start, start + bit)
+    ]
     group_id: dict[int, int] = {}
     letter_class = [group_id.setdefault(k, len(group_id)) for k in key]
     class_rows = []
@@ -676,29 +687,42 @@ def ex_project(A: BuchiNfa, pairs: Iterable[tuple[int, int]]) -> BuchiNfa:
         else:
             class_rows.append(tuple(tuple(sorted(set().union(*rows))) for rows in zip(*parts)))
     return BuchiNfa._make(
-        A.state_count, A.alphabet_size, letter_class, class_rows, A.initial, A.accepting
+        A.state_count, size // 2, letter_class, class_rows, A.initial, A.accepting
     )
 
 
 def _relabel(A: BuchiNfa, letters: Sequence[int]) -> BuchiNfa:
-    """The automaton on which letter a acts as A's letter letters[a].
+    """The automaton on which letter a acts as A's letter letters[a]: the
+    one map between alphabets of the translation, which renames the
+    variables of a shared subformula and lifts an automaton to a larger
+    set of variables.
 
     Its states and their transitions are A's, so what A keeps about them
     (is_weak, is_deterministic, _simulation_order) is kept on the result;
     the simulation order stays the greatest one when every class of A is
-    some letters[a].  Only the letter classes are renumbered, by first
-    letter, so A's successor table, whose columns are A's classes, is
-    not kept."""
-    letter_class = A._letter_class
-    out = BuchiNfa._make(
-        A.state_count,
-        len(letters),
-        [letter_class[a] for a in letters],
-        A._class_rows,
-        A.initial,
-        A.accepting,
-    )
-    out._weak, out._det, out._sim_order = A._weak, A._det, A._sim_order
+    some letters[a].  A's class rows are distinct, so no row is hashed:
+    the classes the letters use are renumbered by first letter, and A's
+    successor table, whose columns are A's classes, is carried with its
+    columns in that order.  A lift whose letters keep the order of the
+    classes' first letters keeps A's class rows, numbering and table as
+    they are, and its cost is one pass over the letters."""
+    letter_class = list(map(A._letter_class.__getitem__, letters))
+    # each used class's first letter, the later letters overwritten
+    first = dict(zip(reversed(letter_class), range(len(letter_class) - 1, -1, -1)))
+    order = sorted(first, key=first.__getitem__)
+    rows, table = A._class_rows, A._table
+    if order != list(range(len(rows))):
+        rank = {c: i for i, c in enumerate(order)}
+        letter_class = list(map(rank.__getitem__, letter_class))
+        rows = tuple(map(rows.__getitem__, order))
+        if table is not None:
+            table = table[:, order]
+    out = object.__new__(BuchiNfa)
+    out.state_count, out.alphabet_size = A.state_count, len(letters)
+    out.initial, out.accepting = A.initial, A.accepting
+    out._letter_class, out._class_rows = tuple(letter_class), rows
+    out._class_first_letter = tuple(sorted(first.values()))
+    out._weak, out._det, out._sim_order, out._table = A._weak, A._det, A._sim_order, table
     return out
 
 
@@ -1202,7 +1226,8 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 def _successor_table(A: BuchiNfa) -> np.ndarray:
     """A's first successor per state and letter class, state_count for
     none, as an array (states, classes), built once and kept on A unless
-    _from_table handed it over; no caller writes to it."""
+    _from_table handed it over or _relabel carried A's source's; no caller
+    writes to it."""
     if A._table is None:
         n = A.state_count
         A._table = np.array(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Sequence
 
 from . import buchi
@@ -314,11 +315,6 @@ class SetAlphabet:
         except ValueError:
             raise UnknownVariable(f"variable {name} not declared") from None
 
-    def flip_pairs(self, name: str) -> list[tuple[int, int]]:
-        """Letter pairs equal everywhere except on one variable's bit."""
-        b = self.bit(name)
-        return [(a, a ^ b) for a in range(self.size)]
-
 
 def interp_to_upword(interp: UpInterpretation, variables: Sequence[str]) -> UpWord:
     """Align all assigned set words to a common shape and pack the bits.
@@ -402,6 +398,16 @@ def atom_less_nfa(variables: Sequence[str], left: str, right: str) -> BuchiNfa:
     return BuchiNfa._make(3, alpha.size, letter_class, class_rows, [0], [2])
 
 
+@cache
+def _support_atom(kind: type, left: int, right: int) -> BuchiNfa:
+    """The atom of kind, Incl or Less, over its own support, left and right
+    being its variables' letter bits there: one bit or two.  Automata are
+    never changed, so every compile shares these six."""
+    atom = atom_incl_nfa if kind is Incl else atom_less_nfa
+    names = ("V", "W")[: max(left, right)]
+    return atom(names, names[left >> 1], names[right >> 1])
+
+
 def _negate(A: BuchiNfa, max_colors: int) -> BuchiNfa:
     """Complement dispatch for the translation pipeline.
 
@@ -427,7 +433,34 @@ def _negate(A: BuchiNfa, max_colors: int) -> BuchiNfa:
     return buchi._reduce(complement(A, max_colors=max_colors))
 
 
-def _conjoin(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
+def _read(A: BuchiNfa, bits: Sequence[int]) -> BuchiNfa:
+    """A read over len(bits) letter bits: bit j of a letter acts as A's
+    letter bit bits[j], or is ignored where bits[j] is 0.  buchi._relabel,
+    with the letters built by doubling, one bit at a time."""
+    letters = [0]
+    for b in bits:
+        letters += [a | b for a in letters] if b else letters
+    return buchi._relabel(A, letters)
+
+
+def _lift(A: BuchiNfa, support: int, target: int) -> BuchiNfa:
+    """A over the variables of the mask support, read over those of the
+    mask target, which holds support: a letter acts as its bits on
+    support.  The bits of both stay in the order of the declared
+    variables, so the classes keep the order of their first letters, and
+    buchi._relabel keeps A's rows, numbering and table.  A itself when
+    the masks are equal."""
+    if support == target:
+        return A
+    bits = [1 << j for j in range(target.bit_length()) if target >> j & 1]
+    return _read(A, [1 << (support & b - 1).bit_count() if support & b else 0 for b in bits])
+
+
+def _conjoin(left: tuple[BuchiNfa, int], right: tuple[BuchiNfa, int]) -> BuchiNfa:
+    """The conjunction of two (automaton, support) operands, both lifted
+    to the union of their supports."""
+    (A, sa), (B, sb) = left, right
+    A, B = _lift(A, sa, sa | sb), _lift(B, sb, sa | sb)
     # the plain product is exact for weak operands and keeps them weak,
     # which later negations rely on; otherwise use the two-copy product
     if buchi.is_weak(A) and buchi.is_weak(B):
@@ -445,13 +478,45 @@ def translate(
     alphabet.  The automaton accepts exactly the packed interpretations
     satisfying the formula, on ultimately periodic words.
 
-    Both atoms are deterministic and weak, and so are products and flip
-    complements of deterministic weak automata, so every subformula
-    without a quantifier compiles to a deterministic automaton.
-    Negations go through _negate, which complements deterministic weak
-    intermediates by flipping their acceptance, so those stay
-    deterministic.  Intermediate results are trimmed and reduced
-    (buchi._reduce), which never changes the language but keeps
+    The work is _compile's, over the formula's support, the bits of its
+    free variables; the result is that automaton lifted to every declared
+    variable, which keeps its states, transitions and class numbering.
+    sat_min and models_up read the automaton over the support and never
+    build this lift.  When stats is a list, one (node, state count) entry
+    is appended per node object in postorder, a node shared by several
+    parents listed once, the count being that of the node's shape.
+    """
+    A, names = _compile(phi, variables, max_colors, stats)
+    bit = SetAlphabet(tuple(variables)).bit
+    return _lift(A, sum(map(bit, names)), (1 << len(variables)) - 1)
+
+
+def _compile(
+    phi: MinFormula,
+    variables: Sequence[str],
+    max_colors: int,
+    stats: list | None = None,
+) -> tuple[BuchiNfa, tuple[str, ...]]:
+    """translate's automaton over the formula's support, and the support:
+    its free variables, in the order of variables.  Letter bit j is the
+    j-th of them.
+
+    Every node is compiled over its own support, a mask of the declared
+    variables, so the node's alphabet has 2^|support| letters however many
+    variables are declared.  Atoms are built over their one or two
+    variables.  Ex2 drops its variable's bit (buchi.ex_project), and a
+    body that does not read the variable is reduced as it is.  And lifts
+    both operands to the union of their supports (_conjoin): the bits of
+    every support are in the order of variables, so a lift keeps the
+    operand's class rows, class numbering and successor table, and the
+    lift of each result is the automaton a compile over every variable
+    builds.  Both atoms are deterministic and weak, and so are products
+    and flip complements of deterministic weak automata, so every
+    subformula without a quantifier compiles to a deterministic
+    automaton.  Negations go through _negate, which complements
+    deterministic weak intermediates by flipping their acceptance, so
+    those stay deterministic.  Intermediate results are trimmed and
+    reduced (buchi._reduce), which never changes the language but keeps
     negations affordable: nondeterministic ones by direct simulation,
     deterministic ones, most of them, by partition refinement.
 
@@ -465,17 +530,14 @@ def translate(
     numbers in postorder, so a key never nests and the fold stays linear
     in the distinct node objects; nodes are never hashed, as a hash walks
     the whole subtree on every call.  Two nodes have one shape exactly
-    when a one-to-one renaming of variables turns one into the other.
-    The automaton of a node reads only the bits of its variables, so a
-    node with the shape of an earlier one takes that node's automaton
-    with its letters relabelled (buchi._relabel), the bits of its
-    variables moved onto the earlier node's: the states and the
+    when a one-to-one renaming of variables turns one into the other, and
+    their free variables are at the same positions.  So a node with the
+    shape of an earlier one takes that node's automaton read over its own
+    support (_read), each free variable's bit taking the bit of the
+    earlier node's variable in the same position: the states and the
     transitions are the same.  Shapes are compiled in number order, from
     their first node, and each shape's automaton is held only until its
-    last use among the subformulas of those first nodes.  When stats is a
-    list, one (node, state count) entry is appended per node object in
-    postorder, a node shared by several parents listed once, the count
-    being that of the node's shape.
+    last use among the subformulas of those first nodes.
     """
     alpha = SetAlphabet(tuple(variables))
     # the number of each shape, per number its first node, that node's
@@ -504,19 +566,20 @@ def translate(
     # for are never built
     bit = {name: alpha.bit(name) for name in top[1]}
 
-    def over(i: int, names: tuple[str, ...]) -> BuchiNfa:
-        # shape i's automaton read over names, its first node's variables
-        # renamed to them: letter a acts as the letter whose bit of each
-        # base name is a's bit of the name in the same position
-        A, base = done[i], first[i][1]
+    def over(i: int, names: tuple[str, ...]) -> tuple[BuchiNfa, int]:
+        # shape i's automaton read over the support of a node of shape i
+        # whose variables are names, and that support: each of the node's
+        # variables whose counterpart in the first node is free there
+        # takes the counterpart's letter bit
+        A, base, support = done[i], first[i][1], supports[i]
         if names == base:
-            return A
-        moves = dict(zip(map(bit.__getitem__, names), map(bit.__getitem__, base)))
-        letters = [0]
-        for j in range(len(variables)):
-            to = moves.get(1 << j)
-            letters += [a | to for a in letters] if to else letters
-        return buchi._relabel(A, letters)
+            return A, support
+        moves = {
+            bit[name]: 1 << (support & bit[was] - 1).bit_count()
+            for name, was in zip(names, base)
+            if support & bit[was]
+        }
+        return _read(A, [moves[b] for b in sorted(moves)]), sum(moves)
 
     # a shape is numbered after its subformulas' shapes, so compiling in
     # number order finds every operand compiled
@@ -525,6 +588,8 @@ def translate(
         for k, _ in kids:
             uses[k] += 1
     done: dict[int, BuchiNfa] = {}
+    # per shape, the support of its first node
+    supports: list[int] = []
     counts = []
     for i, (node, _, kids) in enumerate(first):
         args = [over(k, kid_names) for k, kid_names in kids]
@@ -532,21 +597,39 @@ def translate(
             uses[k] -= 1
             if not uses[k]:
                 del done[k]
-        if isinstance(node, Incl):
-            out = atom_incl_nfa(variables, node.left, node.right)
-        elif isinstance(node, Less):
-            out = atom_less_nfa(variables, node.left, node.right)
+        if isinstance(node, (Incl, Less)):
+            support = bit[node.left] | bit[node.right]
+            left, right = (1 << (support & bit[name] - 1).bit_count() for name in (node.left, node.right))
+            out = _support_atom(type(node), left, right)
         elif isinstance(node, And):
-            out = _conjoin(*args)
+            out, support = _conjoin(*args), args[0][1] | args[1][1]
         elif isinstance(node, Not):
-            out = _negate(args[0], max_colors)
+            out, support = _negate(args[0][0], max_colors), args[0][1]
         else:
-            out = buchi._reduce(buchi.ex_project(args[0], alpha.flip_pairs(node.var)))
+            A, support = args[0]
+            b = bit[node.var]
+            if support & b:
+                A = buchi.ex_project(A, 1 << (support & b - 1).bit_count())
+                support ^= b
+            out = buchi._reduce(A)
         done[i] = out
+        supports.append(support)
         counts.append(out.state_count)
     if stats is not None:
         stats.extend((node, counts[i]) for node, i in numbered)
-    return over(*top)
+    A, support = over(*top)
+    return A, tuple(name for name in variables if bit.get(name, 0) & support)
+
+
+def _pack(interp: UpInterpretation, variables: Sequence[str], names: Sequence[str]) -> UpWord:
+    """interp_to_upword on the bits of names only, some of variables in
+    their order: the word an automaton over names reads.  Every assigned
+    name must be one of variables."""
+    for name in interp.sets:
+        if name not in variables:
+            raise UnknownVariable(f"variable {name} not declared")
+    kept = {name: w for name, w in interp.sets.items() if name in names}
+    return interp_to_upword(UpInterpretation(sets=kept, nums=interp.nums), names)
 
 
 def models_up(
@@ -555,14 +638,15 @@ def models_up(
     variables: Sequence[str],
     max_colors: int = DEFAULT_MAX_COLORS,
 ) -> bool:
-    """Does the interpretation satisfy the formula?"""
+    """Does the interpretation satisfy the formula?  Decided on the
+    automaton over the formula's support (_compile)."""
     missing = sorted(free_min(phi) - set(interp.sets))
     if missing:
         raise UnassignedVariable(missing)
     if interp.nums:
         raise ValueError("minimal formulas take set assignments only")
-    word = interp_to_upword(interp, variables)
-    return buchi.membership_up(translate(phi, variables, max_colors=max_colors), word)
+    A, names = _compile(phi, variables, max_colors)
+    return buchi.membership_up(A, _pack(interp, variables, names))
 
 
 def models_up_direct(interp: UpInterpretation, phi: MinFormula) -> bool:
@@ -599,15 +683,12 @@ def sat_min(
     variables: Sequence[str],
     max_colors: int = DEFAULT_MAX_COLORS,
 ) -> UpInterpretation | None:
-    """A satisfying interpretation for the free variables, or None."""
-    m = buchi.find_match(translate(phi, variables, max_colors=max_colors))
-    if m is None:
-        return None
-    decoded = upword_to_interp(m.word(), variables)
-    free = free_min(phi)
-    return UpInterpretation(
-        sets={name: w for name, w in decoded.sets.items() if name in free}
-    )
+    """A satisfying interpretation for the free variables, or None: the
+    match of the automaton over the formula's support (_compile),
+    unpacked into those variables."""
+    A, names = _compile(phi, variables, max_colors)
+    m = buchi.find_match(A)
+    return None if m is None else upword_to_interp(m.word(), names)
 
 
 def ex2_witness(
@@ -619,26 +700,29 @@ def ex2_witness(
     the body and differs from interp only on X.  None when interp does not
     satisfy the quantified formula.
 
-    The match over the projected automaton is relabeled step by step back
-    to letters the body automaton allows; the projection only ever touched
-    X's bit, so the relabeled word agrees with interp everywhere else.
+    The body is compiled over its support (_compile) and projected by
+    dropping X's bit, when the body reads X.  The match over the
+    projection is relabeled step by step back to letters the body
+    automaton allows, X's bit 0 tried first; the projection only ever
+    touched X's bit, so the relabeled word agrees with interp everywhere
+    else.
     """
     if not isinstance(phi, Ex2):
         raise TypeError("ex2_witness needs a quantified formula")
-    alpha = SetAlphabet(tuple(variables))
-    body_aut = translate(phi.sub, variables)
-    proj = buchi.ex_project(body_aut, alpha.flip_pairs(phi.var))
-    sigma = interp_to_upword(interp, variables)
-    m = buchi.match_for_up(proj, sigma)
+    body_aut, names = _compile(phi.sub, variables, DEFAULT_MAX_COLORS)
+    bit = 1 << names.index(phi.var) if phi.var in names else 0
+    proj = buchi.ex_project(body_aut, bit) if bit else body_aut
+    m = buchi.match_for_up(proj, _pack(interp, variables, [n for n in names if n != phi.var]))
     if m is None:
         return None
-    bit = alpha.bit(phi.var)
 
     def relabel(word, path):
         out = []
         for i, b in enumerate(word):
             p, q = path[i], path[i + 1]
-            for a in (b, b ^ bit):
+            # b with a 0 inserted at X's bit
+            a0 = (b & -bit) << 1 | b & bit - 1
+            for a in (a0, a0 | bit):
                 if q in body_aut.successors(p, a):
                     out.append(a)
                     break
@@ -647,11 +731,7 @@ def ex2_witness(
         return tuple(out)
 
     witness_word = UpWord(relabel(m.stem, m.stem_path), relabel(m.loop, m.loop_path))
-    decoded = upword_to_interp(witness_word, variables)
-    free = free_min(phi.sub)
-    return UpInterpretation(
-        sets={name: w for name, w in decoded.sets.items() if name in free}
-    )
+    return upword_to_interp(witness_word, names)
 
 
 # -- full syntax reduction ----------------------------------------------------------

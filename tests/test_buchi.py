@@ -411,30 +411,47 @@ def test_match_for_up_equivalence_random():
 
 
 def test_ex_project_identity_changes_nothing():
-    A = inf_ones()
-    P = ex_project(A, [(a, a) for a in range(2)])
+    # inf_ones read over two bits, bit 1 ignored: dropping bit 1 gives
+    # inf_ones back
+    A = BuchiNfa(2, 4, [(p, a | b, q) for p, a, q in inf_ones().transitions for b in (0, 2)], [0], [1])
+    P = ex_project(A, 2)
+    assert P == inf_ones()
     rng = random.Random(423)
     for _ in range(60):
         sigma = random_up_word(rng, 2)
-        assert membership_up(P, sigma) == membership_up(A, sigma)
+        assert membership_up(P, sigma) == membership_up(inf_ones(), sigma)
 
 
 def test_ex_project_total_relation_erases_letters():
-    pairs = [(a, b) for a in range(2) for b in range(2)]
-    P = ex_project(inf_ones(), pairs)
+    P = ex_project(inf_ones(), 1)
     # some run may now read any letters, so the all-zero word is accepted
+    assert P.alphabet_size == 1
     assert membership_up(P, UpWord((0,), (0,)))
 
 
 def test_ex_project_membership_preserved():
     rng = random.Random(424)
     for _ in range(200):
-        A = random_buchi(rng, 3, 2)
-        sigma = random_up_word(rng, 2)
-        pairs = [(rng.randrange(2), rng.randrange(2)) for _ in range(2)]
-        P = ex_project(A, pairs)
+        A = random_buchi(rng, 3, 4)
+        sigma = random_up_word(rng, 4)
+        bit = rng.choice((1, 2))
+        P = ex_project(A, bit)
+
+        def drop(a):
+            return a >> 1 & ~(bit - 1) | a & (bit - 1)
+
+        # the definition: every transition read on its letter without bit
+        assert P == BuchiNfa(
+            A.state_count,
+            2,
+            [(p, drop(a), q) for p, a, q in A.transitions],
+            A.initial,
+            A.accepting,
+        )
         if membership_up(A, sigma):
-            assert membership_up(P, sigma)
+            assert membership_up(P, UpWord(tuple(map(drop, sigma.prefix)), tuple(map(drop, sigma.period))))
+    with pytest.raises(ValueError):
+        ex_project(inf_ones(), 2)
 
 
 # -- structural classes and their complements ---------------------------------

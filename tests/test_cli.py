@@ -415,6 +415,20 @@ def test_deep_formulas_answer(capsys, tmp_path, text):
     assert run_cli(capsys, "check", f, i) == (0, "MEMBER\n", "")
 
 
+def test_nested_quantifiers_over_31_variables(capsys, tmp_path):
+    # every node of the nested family reads at most two variables, so sat
+    # and check never build the 2^31 letters of the declared alphabet
+    text = "X0 sub X0"
+    for i in range(30):
+        text = f"ex2 Z{i}. ({text}) & Z{i} sub X0"
+    assert len(parse_formula(text).variables) == 31
+    f = write(tmp_path, "f.s1s", text + "\n")
+    code, out, err = run_cli(capsys, "sat", f)
+    assert (code, err) == (0, "") and out.startswith("SAT\n")
+    i = write(tmp_path, "w.interp", out.split("\n", 1)[1])
+    assert run_cli(capsys, "check", f, i) == (0, "MEMBER\n", "")
+
+
 # -- check --------------------------------------------------------------------------
 
 

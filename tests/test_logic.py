@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -857,6 +858,104 @@ def test_merge_compiles_are_pinned():
     for (size, table), digest in MERGE_COMPILE_SHA256.items():
         aut = _merge_machine(new_semigroup(size, table))[0]
         assert hashlib.sha256(format_nfa(aut).encode()).hexdigest() == digest, table
+
+
+# sha256 of format_nfa of translate over the 150 formulas the benchmark's
+# cli-requests draws (seed 107), reduced to the minimal syntax: the lifted
+# automata over every declared variable
+CLI_FORMULAS_SHA256 = "98ed7940bcac34213d71ff6ae9f92059e6b69e905090901599a2ecc46ef183e5"
+
+
+def test_cli_formula_compiles_are_pinned():
+    rng = random.Random(107)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
+        digest.update(format_nfa(translate(*reduce_full(phi, FO, SO))).encode())
+    assert digest.hexdigest() == CLI_FORMULAS_SHA256
+
+
+def _quantified(phi):
+    return logic._fold(phi, None, lambda node, _, args: isinstance(node, (Ex2, FoEx1, FoEx2)) or any(args))
+
+
+def test_every_reduction_in_translate_reads_its_nodes_support(monkeypatch):
+    # each _reduce input is over the free variables of the node being
+    # compiled (the local node of logic._compile), however many variables
+    # are declared
+    reduce, sizes = buchi._reduce, []
+
+    def recorded(A):
+        frame = sys._getframe(1)
+        while frame.f_code is not logic._compile.__code__:
+            frame = frame.f_back
+        sizes.append((A.alphabet_size, 2 ** len(free_min(frame.f_locals["node"]))))
+        return reduce(A)
+
+    monkeypatch.setattr(buchi, "_reduce", recorded)
+    triv = new_semigroup(1, [[0]])
+    merge, variables = reduce_full(phi_merge(triv), MERGE_FIRST_ORDER, merge_second_order(triv))
+    translate(merge, variables)
+    rng = random.Random(2502)
+    names = ("X", "Y", "Z", "W", "V", "U")
+    for _ in range(40):
+        phi = random_min_formula(rng, names[:4], 3, quantifiers=2)
+        translate(phi, rng.sample(names, 6))
+    assert all(got == want for got, want in sizes)
+    assert len(sizes) > 100 and min(sizes)[0] < 2 ** 4
+
+
+def test_support_route_agrees_under_shuffled_declarations_with_unused_names():
+    # quantified formulas declared in shuffled order with unused names, so
+    # that supports sit at other bits of a larger alphabet: check agrees
+    # with membership in the lifted translate result, with the plain
+    # declaration and, without quantifiers, with the definitions; sat
+    # witnesses satisfy the formula
+    rng = random.Random(2501)
+    fo_all, so_all = ("x", "y", "u", "v"), ("X", "Y", "Z")
+    quantified = witnesses = 0
+    for _ in range(40):
+        phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
+        fo, so = tuple(rng.sample(fo_all, 4)), tuple(rng.sample(so_all, 3))
+        reduced, variables = reduce_full(phi, fo, so)
+        lifted = translate(reduced, variables)
+        assert lifted.alphabet_size == 2 ** len(variables) == 2 ** 8
+        exact = not _quantified(phi)
+        quantified += not exact
+        for _ in range(5):
+            interp = random_full_interp(rng, FO, SO)
+            verdict = models_full_up(interp, phi, fo, so)
+            word = interp_to_upword(encode_interp(interp), variables)
+            assert verdict == membership_up(lifted, word) == models_full_up(interp, phi, FO, SO), phi
+            if exact:
+                assert verdict == naive_models_full(interp, phi), phi
+        found = sat_full(phi, fo, so)
+        assert (found is None) == (sat_full(phi, FO, SO) is None), phi
+        if found is not None:
+            witnesses += 1
+            assert models_full_up(found, phi, fo, so) and models_full_up(found, phi, FO, SO), phi
+            if exact:
+                assert naive_models_full(found, phi), phi
+    names = ("X", "Y", "Z", "W", "V")
+    for _ in range(40):
+        phi = random_min_formula(rng, names[:3], 3, quantifiers=2)
+        variables = tuple(rng.sample(names, 5))
+        lifted = translate(phi, variables)
+        exact = not _quantified(phi)
+        quantified += not exact
+        for _ in range(5):
+            interp = random_min_interp(rng, names[:3])
+            verdict = models_up(interp, phi, variables)
+            assert verdict == membership_up(lifted, interp_to_upword(interp, variables)), phi
+            assert verdict == models_up(interp, phi, names[:3]), phi
+            if exact:
+                assert verdict == models_up_direct(interp, phi), phi
+        found = sat_min(phi, variables)
+        if found is not None:
+            witnesses += 1
+            assert set(found.sets) == free_min(phi)
+            assert models_up(found, phi, variables), phi
+    assert quantified >= 30 and witnesses >= 30
 
 
 def test_deterministic_reductions_in_compiles_match_relation_route(monkeypatch):
