@@ -806,18 +806,22 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     the table, the trim of a weak A is weak, and is_weak runs on others.
     The kept states are numbered in order, the rest map to -1, and
     _read_off builds the result from that map, as it builds _refine's
-    quotients.
+    quotients.  A's simulation order, if kept, is restricted to a
+    nondeterministic result that lost only unreachable states: the rest
+    are closed under successors, so it stays the greatest (_sim_reduce).
     """
     n = A.state_count
     if n >= _ARRAY_CROSSOVER and is_deterministic(A):
         keep = np.flatnonzero(_kept_on_table(A))
-        weak = A._weak or None
+        weak, reached = A._weak or None, None
     else:
         adj = _adjacency(A)
         live = [False] * n
         acc = A.accepting
         weak = True
+        reached = 0
         for members, cyclic in _strongly_connected(sorted(A.initial), adj.__getitem__, n):
+            reached += len(members)
             if cyclic and not acc.isdisjoint(members) or any(
                 live[q] for s in members for q in adj[s]
             ):
@@ -832,6 +836,8 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
         block = np.full(n + 1, -1, dtype=np.int64)
         block[keep] = np.arange(len(keep))
         out = _read_off(A, block, keep)
+        if A._sim_order and len(keep) == reached and not is_deterministic(out):
+            out._sim_order = _order_on(A._sim_order, keep, n)
     if weak is None:
         is_weak(out)
     else:
@@ -1019,7 +1025,8 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
     The sets are masks, pruned by _maximal_members(A) and stepped by
     _mask_image over each class's successor masks.  Without a simulation
     order (A deterministic, when its sets have at most one member, or
-    over _SIM_LIMIT states) they are built unpruned.
+    over _SIM_LIMIT states) they are built unpruned.  An order A
+    inherited (_sim_reduce) is still A's greatest direct simulation.
     """
     if not is_weak(A):
         raise ValueError("complement_weak needs SCC-uniform acceptance")
@@ -1098,7 +1105,10 @@ _BLOCK_SWAPS = tuple(
 # where the byte route costs 4 us at 8 states.  Medians of 9 timings per
 # transpose on 2 shared cores, bytes against blocks: 128 states 21 and
 # 31 us, 208 states 42 and 44 us, 240 states 51 and 49 us, 1,000 states
-# 0.88 and 0.34 ms, 1,938 states 4.5 and 1.3 ms.
+# 0.88 and 0.34 ms, 1,938 states 4.5 and 1.3 ms.  From it on, _sim_reduce
+# also refines an input with no order before the relation.  Best of 15
+# merge-compile passes (TRIV, LP, Z2), gate here, at _ARRAY_CROSSOVER (64)
+# and absent: 192, 201 and 191 ms; one Z3 compile 2.33, 2.28 and 2.81 s.
 _BLOCK_TRANSPOSE_STATES = 224
 
 
@@ -1372,25 +1382,39 @@ def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
     Deterministic automata need no relation: _sim_reduce refines them
     (_refine), and their breakpoint sets have at most one member.  The
     relation is n x n, hence the limit.  The merge compiles build it on up
-    to 344 states on Z2 and 1,848 on Z3, whose compile builds 32, 8 of
-    them on 224 states or more.  A bound on the packed relation's bytes,
-    part of one budget for every construction, is to replace this limit.
+    to 195 states on Z2 and 838 on Z3, whose compile builds 18, 4 of them
+    on 224 states or more.  A bound on the packed relation's bytes, part
+    of one budget for every construction, is to replace this limit.
 
-    The order is kept on A, so the results of _reduce carry theirs to
-    complement_weak (see _reduce).
+    The order is kept on A, or inherited (_sim_reduce), so the results of
+    _reduce carry theirs to complement_weak (see _reduce).
     """
     if is_deterministic(A) or A.state_count > _SIM_LIMIT:
         return None
     if A._sim_order is None:
         sim = _direct_simulation(A)
-        nbytes = (A.state_count + 7) // 8
-        buf = np.packbits(sim & ~sim.T, axis=1, bitorder="little").tobytes()
         # argmax finds the first mutually similar state of each row
-        A._sim_order = (
-            (sim & sim.T).argmax(axis=1).tolist(),
-            [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)],
-        )
+        A._sim_order = ((sim & sim.T).argmax(axis=1).tolist(), _masks(sim & ~sim.T))
     return A._sim_order
+
+
+def _masks(bits: np.ndarray) -> list[int]:
+    """The rows of a boolean matrix as bitmasks, column j in bit j."""
+    nbytes = (bits.shape[1] + 7) // 8
+    buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+
+
+def _order_on(order: tuple[list[int], list[int]], keep: Sequence[int], n: int):
+    """A simulation order (first, strictly) of n states restricted to the
+    states keep, renumbered in order: a class's lowest kept member is its
+    first, and bit j of the i-th mask is bit keep[j] of strictly[keep[i]]."""
+    first, strictly = order
+    lowest: dict[int, int] = {}
+    rows = b"".join(strictly[p].to_bytes((n + 7) // 8, "little") for p in keep)
+    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(len(keep), -1),
+                         axis=1, count=n, bitorder="little")
+    return [lowest.setdefault(first[p], i) for i, p in enumerate(keep)], _masks(bits[:, keep])
 
 
 def _maximal_members(A: BuchiNfa) -> tuple[list[int], Callable[[int], int]]:
@@ -1440,15 +1464,33 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     quotients A by bisimilarity without the n x n relation (2.9 ms on
     Z2's 1,296-state deterministic input with the table its product hands
     over, 4.2 ms building the table, where _direct_simulation takes 0.10 s,
-    on 2 shared cores); _reduce passes the quotient here again.  When nothing merges
-    or is pruned, A itself is returned.
+    on 2 shared cores); _reduce passes the quotient here again.  So does a
+    nondeterministic A of _BLOCK_TRANSPOSE_STATES states or more with no
+    order kept on it; the relation is built only on an A that _refine
+    leaves unchanged, as bisimilar states are mutually similar.  When
+    nothing merges or is pruned, A itself is returned.
+
+    A nondeterministic quotient R inherits its order, so that _reduce ends
+    without a second relation: block j simulates block i exactly when A's
+    first member f_j of j simulates f_i, so R's first is the identity and
+    its strictly is A's on the first members.  This is R's greatest direct
+    simulation, as b and f_b simulate each other in the disjoint union of
+    A and R: they agree on acceptance, a successor of f_b lies in a block
+    dominated by a successor of b, and a successor of b is mutually similar
+    to a successor of f_b.  So f_j simulating f_i gives j simulating i,
+    and j simulating i gives f_j simulating f_i, through j and i, in A.
+    Each block b is live when f_b is, so in _reduce's loop, whose input is
+    trimmed, the next _trim cuts only unreachable blocks and keeps R's
+    order restricted to the rest, still the greatest (see _trim).
     """
     n = A.state_count
     if n <= 1:
         return A
+    if is_deterministic(A) or A._sim_order is None and n >= _BLOCK_TRANSPOSE_STATES:
+        refined = _refine(A)
+        if refined is not A or _simulation_order(A) is None:
+            return refined
     order = _simulation_order(A)
-    if order is None:
-        return _refine(A)
     first = order[0]
     head, prune = _maximal_members(A)
     # blocks are numbered by first member, which is the order of their bits
@@ -1469,7 +1511,7 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     if len(number) == n and tuple(new_rows) == A._class_rows and len(initial) == len(A.initial):
         # nothing merged or pruned: the rebuilt automaton would equal A
         return A
-    return BuchiNfa._make(
+    out = BuchiNfa._make(
         len(number),
         A.alphabet_size,
         list(A._letter_class),
@@ -1477,6 +1519,9 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
         initial,
         [number[first[s]] for s in A.accepting],
     )
+    if not is_deterministic(out):
+        out._sim_order = _order_on(order, list(number), n)
+    return out
 
 
 def _reduce(A: BuchiNfa) -> BuchiNfa:
@@ -1486,9 +1531,9 @@ def _reduce(A: BuchiNfa) -> BuchiNfa:
     so they loop.
 
     The loop ends when _sim_reduce returns its input itself, so the
-    result keeps the simulation order that pass computed on it
-    (_simulation_order), and complement_weak of the result prunes by it
-    without running _direct_simulation again.
+    result keeps the simulation order computed on it or inherited by it
+    (_sim_reduce), and complement_weak of the result prunes by it without
+    running _direct_simulation again.
     """
     out = _trim(A)
     while True:

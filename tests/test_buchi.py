@@ -22,7 +22,7 @@ from oracles import (
     random_weak_buchi,
     scc_index,
 )
-from s1sup import buchi
+from s1sup import buchi, logic
 from s1sup.buchi import (
     AlphabetMismatch,
     BuchiNfa,
@@ -49,7 +49,8 @@ from s1sup.buchi import (
     union,
 )
 from s1sup.complement import complement
-from s1sup.semigroup import UpWord, up_equiv
+from s1sup.encodings import MERGE_FIRST_ORDER, merge_second_order, phi_merge
+from s1sup.semigroup import UpWord, new_semigroup, up_equiv
 
 
 def loop_one(accepting=True):
@@ -1417,6 +1418,106 @@ def test_relation_on_the_refined_quotient_matches_the_relation_on_its_input():
     assert refined >= 50
 
 
+def _large_copies(rng):
+    """A nondeterministic automaton of 224-400 states: copies of a random
+    automaton of 3-6 states over 2 letters, each transition leading into
+    one to three random copies of its target, so copies of a state are
+    bisimilar, until a few stray transitions split some; initial states in
+    every copy.  One in five is a random automaton of 240-300 states,
+    where few states are bisimilar."""
+    if rng.random() < 0.2:
+        n = rng.randint(240, 300)
+        trips = [(p, a, rng.randrange(n)) for p in range(n) for a in range(2)
+                 for _ in range(rng.choice((1, 2)))]
+        return BuchiNfa(n, 2, trips, rng.sample(range(n), 3), rng.sample(range(n), n // 3))
+    k = rng.randint(3, 6)
+    part = random_buchi(rng, k, 2, density=0.35)
+    k = part.state_count
+    copies = rng.randint(-(-224 // k), 400 // k)
+    n = k * copies
+    trips = [
+        (j * k + p, a, c * k + q)
+        for p, a, q in part.transitions
+        for j in range(copies)
+        for c in rng.sample(range(copies), rng.randint(1, 3))
+    ]
+    trips += [(rng.randrange(n), rng.randrange(2), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+    initial = [j * k + p for j in range(copies) for p in part.initial]
+    return BuchiNfa(n, 2, trips, initial, [j * k + p for j in range(copies) for p in part.accepting])
+
+
+def test_large_inputs_refine_before_the_relation(monkeypatch):
+    # from _BLOCK_TRANSPOSE_STATES states on, an input with no order is
+    # refined first, and the relation is built only on one that _refine
+    # leaves unchanged; _reduce gives what the relation alone gives
+    rng = random.Random(449)
+    cases = []
+    while len(cases) < 60:
+        A = buchi._trim(_large_copies(rng))
+        if A.state_count >= buchi._BLOCK_TRANSPOSE_STATES and not is_deterministic(A):
+            cases.append(A)
+    gated = [buchi._reduce(_fresh(A)) for A in cases]
+    with monkeypatch.context() as m:
+        m.setattr(buchi, "_BLOCK_TRANSPOSE_STATES", 10**9)
+        forced = [buchi._reduce(_fresh(A)) for A in cases]
+    assert gated == forced
+
+    def unreachable(A):
+        raise AssertionError("_direct_simulation reached")
+
+    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    merged = 0
+    for A in cases:
+        R = buchi._refine(A)
+        if R is not A:
+            merged += 1
+            assert buchi._sim_reduce(A) == R
+    assert merged >= 30
+
+
+def test_quotients_inherit_the_greatest_simulation(monkeypatch):
+    # a relation route quotient inherits its order from its input, and its
+    # trim keeps it when it cuts only unreachable states; every order so
+    # kept is the one a fresh copy computes, and _reduce's result is its
+    # own reduction.  Trims of quotients of untrimmed inputs cut dead
+    # states, after which the order is not carried
+    reduce_, sim_reduce, relation = buchi._reduce, buchi._sim_reduce, buchi._direct_simulation
+    reduced, quotients, related = [], [], []
+
+    def recorded_reduce(A):
+        reduced.append(reduce_(A))
+        return reduced[-1]
+
+    def recorded_sim_reduce(A):
+        R = sim_reduce(A)
+        if R is not A and A._sim_order is not None:
+            quotients.append(R)
+        return R
+
+    monkeypatch.setattr(buchi, "_reduce", recorded_reduce)
+    monkeypatch.setattr(buchi, "_sim_reduce", recorded_sim_reduce)
+    monkeypatch.setattr(buchi, "_direct_simulation", lambda A: related.append(A) or relation(A))
+    for g in (new_semigroup(1, [[0]]), new_semigroup(2, [[0, 0], [1, 1]]),
+              new_semigroup(2, [[0, 1], [1, 0]])):
+        logic.translate(*logic.reduce_full(phi_merge(g), MERGE_FIRST_ORDER, merge_second_order(g)))
+    rng = random.Random(448)
+    trims = []
+    for i in range(1500):
+        A = _random_copies(rng) if i % 2 else _random_simulation_case(rng)
+        R = buchi._sim_reduce(A)
+        # A keeps the order computed on it, R the inherited one
+        trims += [buchi._trim(A), buchi._trim(R)]
+        buchi._reduce(A)
+    monkeypatch.undo()
+    computed = set(map(id, related))
+    inherited = sum(C._sim_order is not None and id(C) not in computed for C in reduced)
+    for C in reduced:
+        assert buchi._sim_reduce(C) is C
+    for R in reduced + quotients + trims:
+        _assert_stored_facts(R)
+    assert len(quotients) >= 300 and inherited >= 100, (len(quotients), inherited)
+
+
 def _fresh(A):
     """A copy of A built from its transitions, with nothing stored on it."""
     return BuchiNfa(A.state_count, A.alphabet_size, A.transitions, A.initial, A.accepting)
@@ -1424,7 +1525,8 @@ def _fresh(A):
 
 def _assert_stored_facts(R):
     """What R keeps about itself is what a fresh copy computes: its
-    weakness, its determinism and its successor table."""
+    weakness, its determinism, its successor table and its simulation
+    order."""
     F = _fresh(R)
     assert F == R
     for stored, computed in ((R._weak, is_weak), (R._det, is_deterministic)):
@@ -1432,6 +1534,8 @@ def _assert_stored_facts(R):
     if R._table is not None:
         assert R._table.shape == (R.state_count, len(R._class_rows))
         assert (R._table == buchi._successor_table(F)).all(), format_nfa(R)
+    if R._sim_order is not None:
+        assert R._sim_order == buchi._simulation_order(F), format_nfa(R)
 
 
 def _fully_live(rng, size, alphabet):

@@ -860,6 +860,46 @@ def test_merge_compiles_are_pinned():
         assert hashlib.sha256(format_nfa(aut).encode()).hexdigest() == digest, table
 
 
+# relations (buchi._direct_simulation calls) the merge compiles of TRIV, LP
+# and Z2 build; a relation that only confirmed _reduce's fixpoint on a
+# quotient would show here, as a weaker reduction shows in TRIV_NODE_STATES
+MERGE_COMPILE_RELATIONS = {
+    (1, ((0,),)): 9,
+    (2, ((0, 0), (1, 1))): 12,
+    (2, ((0, 1), (1, 0))): 12,
+}
+
+
+def test_merge_compiles_build_no_relation_on_a_relation_route_quotient(monkeypatch):
+    # a quotient of _sim_reduce's relation route inherits its order, and so
+    # does its trim in _reduce's loop, so no relation is built on either
+    sim_reduce, trim, relation = buchi._sim_reduce, buchi._trim, buchi._direct_simulation
+    quotients, inputs = {}, []
+
+    def recorded_sim_reduce(A):
+        R = sim_reduce(A)
+        if R is not A and A._sim_order is not None:
+            quotients[id(R)] = R
+        return R
+
+    def recorded_trim(A):
+        T = trim(A)
+        if id(A) in quotients:
+            quotients[id(T)] = T
+        return T
+
+    monkeypatch.setattr(buchi, "_sim_reduce", recorded_sim_reduce)
+    monkeypatch.setattr(buchi, "_trim", recorded_trim)
+    monkeypatch.setattr(buchi, "_direct_simulation", lambda A: inputs.append(A) or relation(A))
+    for (size, table), count in MERGE_COMPILE_RELATIONS.items():
+        inputs.clear()
+        g = new_semigroup(size, table)
+        translate(*reduce_full(phi_merge(g), MERGE_FIRST_ORDER, merge_second_order(g)))
+        assert len(inputs) == count, table
+        assert not any(id(A) in quotients for A in inputs), table
+    assert len(quotients) >= 20
+
+
 # sha256 of format_nfa of translate over the 150 formulas the benchmark's
 # cli-requests draws (seed 107), reduced to the minimal syntax: the lifted
 # automata over every declared variable
