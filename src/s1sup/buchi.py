@@ -32,7 +32,8 @@ class BuchiNfa:
     Construct from explicit transition triples (p, a, q).  Internally the
     triples are grouped by letter into per-state successor rows, and letters
     with identical rows share one class.  Classes are numbered by first
-    occurrence, which makes the representation canonical: two automata are
+    occurrence, and every construction stores each row strictly
+    increasing, which makes the representation canonical: two automata are
     equal exactly when they have the same states, alphabet, transition set,
     initial set and accepting set.
     """
@@ -495,20 +496,17 @@ def union(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
 
 
 # From this size on, the array routes run: _deterministic_product from
-# this many potential pairs nA * nB, _kept_on_table for _trim of a
-# deterministic automaton of this many states, and _refine's np.unique
-# numbering.  They pay a fixed cost in numpy calls, the Python routes pay
-# per state, pair and class.  Medians per call, 2 shared cores, Python
-# against arrays.  The deterministic products of the TRIV, LP and Z2 merge
-# compiles: 3-18 pairs 0.09-0.62 and 0.25-0.65 ms, 24-60 pairs 0.28-2.1
-# and 0.36-1.4 ms, 117-285 pairs 1.6-6.4 and 0.73-2.1 ms, 202,496 pairs
-# 77 and 11 ms.  The deterministic trims and refinements of one
-# merge-compile and one cli-requests pass, table built in the call: trims
-# of 0-15 states (3,015 calls) 0.007 and 0.033 ms, 16-63 states
+# this many potential pairs nA * nB, and _kept_on_table for _trim of a
+# deterministic automaton of this many states.  They pay a fixed cost in
+# numpy calls, the Python routes pay per state, pair and class.  Medians
+# per call, 2 shared cores, Python against arrays.  The deterministic
+# products of the TRIV, LP and Z2 merge compiles: 3-18 pairs 0.09-0.62 and
+# 0.25-0.65 ms, 24-60 pairs 0.28-2.1 and 0.36-1.4 ms, 117-285 pairs
+# 1.6-6.4 and 0.73-2.1 ms, 202,496 pairs 77 and 11 ms.  The deterministic
+# trims of one merge-compile and one cli-requests pass, table built in the
+# call: 0-15 states (3,015 calls) 0.007 and 0.033 ms, 16-63 states
 # 0.066-0.14 and 0.064-0.09 ms, 64-127 states 0.45-0.49 and 0.29-0.38 ms,
-# 1,296 states 4.7 and 1.5 ms; refinements of 0-15 states (2,722 calls)
-# 0.005 and 0.025 ms, 16-63 states 0.036-0.076 and 0.048-0.072 ms,
-# 64-127 states 0.20 and 0.10-0.11 ms, 1,296 states 4.6 and 2.9 ms.
+# 1,296 states 4.7 and 1.5 ms.
 _ARRAY_CROSSOVER = 64
 
 
@@ -594,10 +592,10 @@ def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> BuchiNfa:
 def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     """_product(A, B, False) of deterministic A and B, on arrays.
 
-    The classes of letter pairs are numbered by np.unique; _make
-    renumbers them by first letter, the order of the pair loop.  A BFS
-    from the initial pair expands one whole layer at a time through the
-    two successor tables (_successor_table), and the pairs seen are held
+    The classes of letter pairs are numbered by first letter, as in the
+    pair loop; _make merges pairs whose columns are equal.  A BFS from
+    the initial pair expands one whole layer at a time through the two
+    successor tables (_successor_table), and the pairs seen are held
     in arrays that grow with the reachable pairs, never with nA * nB: in
     the order found, and sorted, which tells a layer's new pairs by binary
     search.  A layer's targets are deduplicated by sorting, not by
@@ -606,17 +604,17 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     search: the result's successor table (_from_table).
     """
     nA, nB = A.state_count, B.state_count
-    classes_b = len(B._class_rows)
-    pair = np.array(A._letter_class, dtype=np.int64) * classes_b + np.array(
-        B._letter_class, dtype=np.int64
-    )
-    pairs, letter_class = np.unique(pair, return_inverse=True)
-    ca, cb = np.divmod(pairs, classes_b)
+    combo_id: dict[tuple[int, int], int] = {}
+    letter_class = [
+        combo_id.setdefault(combo, len(combo_id))
+        for combo in zip(A._letter_class, B._letter_class)
+    ]
+    ca, cb = [a for a, _ in combo_id], [b for _, b in combo_id]
     succ_a, succ_b = _successor_table(A)[:, ca], _successor_table(B)[:, cb]
     start = [p * nB + q for p in A.initial for q in B.initial]
     frontier = seen = known = np.array(start, dtype=np.int64)
     # per layer, the successor codes of its pairs, -1 for none
-    layers = [np.empty((0, pairs.size), dtype=np.int64)]
+    layers = [np.empty((0, len(combo_id)), dtype=np.int64)]
     while frontier.size:
         p, q = np.divmod(frontier, nB)
         ta, tb = succ_a[p], succ_b[q]
@@ -636,7 +634,7 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     acc_a, acc_b = np.zeros(nA, dtype=bool), np.zeros(nB, dtype=bool)
     acc_a[list(A.accepting)] = True
     acc_b[list(B.accepting)] = True
-    return _from_table(states, A.alphabet_size, letter_class.tolist(),
+    return _from_table(states, A.alphabet_size, letter_class,
                        np.searchsorted(codes, start).tolist(),
                        np.flatnonzero(acc_a[codes // nB] & acc_b[codes % nB]).tolist())
 
@@ -1105,10 +1103,15 @@ _BLOCK_SWAPS = tuple(
 # where the byte route costs 4 us at 8 states.  Medians of 9 timings per
 # transpose on 2 shared cores, bytes against blocks: 128 states 21 and
 # 31 us, 208 states 42 and 44 us, 240 states 51 and 49 us, 1,000 states
-# 0.88 and 0.34 ms, 1,938 states 4.5 and 1.3 ms.  From it on, _sim_reduce
-# also refines an input with no order before the relation.  Best of 15
-# merge-compile passes (TRIV, LP, Z2), gate here, at _ARRAY_CROSSOVER (64)
-# and absent: 192, 201 and 191 ms; one Z3 compile 2.33, 2.28 and 2.81 s.
+# 0.88 and 0.34 ms, 1,938 states 4.5 and 1.3 ms.  No relation of a
+# merge-compile or cli-requests pass reaches it (the largest have 195 and
+# 7 states); Z3's compile builds 4 of its 18 relations on 715-838 states,
+# and Z4's refined operand has about 3,400.  There, medians of 9: 838
+# states 0.44 and 0.17 ms, 3,409 states 74 and 3.7-4.6 ms.  From it on,
+# _sim_reduce also refines an input with no order before the relation.
+# Best of 15 merge-compile passes (TRIV, LP, Z2), gate here, at
+# _ARRAY_CROSSOVER (64) and absent: 192, 201 and 191 ms; one Z3 compile
+# 2.33, 2.28 and 2.81 s.
 _BLOCK_TRANSPOSE_STATES = 224
 
 
@@ -1236,7 +1239,7 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 def _successor_table(A: BuchiNfa) -> np.ndarray:
     """A's first successor per state and letter class, state_count for
     none, as an array (states, classes), built once and kept on A unless
-    _from_table handed it over or _relabel carried A's source's; no caller
+    _from_table kept its own or _relabel carried A's source's; no caller
     writes to it."""
     if A._table is None:
         n = A.state_count
@@ -1252,21 +1255,19 @@ def _from_table(table: np.ndarray, alphabet_size: int, letter_class: Sequence[in
     """The automaton with successor table table, (states, classes) with the
     row count for none, and at most one initial state: the one place that
     builds a deterministic automaton from a table.  The class rows are read
-    off once, and the result is marked deterministic.  The table is handed
-    over, kept as the result's _successor_table, when _make keeps the class
-    numbering, which shows as the result holding the very letter_class
-    tuple passed (tuple() hands back its input), and the result has a
-    class per column: a column no letter uses has none.
+    off once, and the result is marked deterministic.  It keeps the table
+    as its _successor_table, with the column of each of its classes' first
+    letters: the table itself when _make keeps the class numbering and
+    every column is a class, else a copy without merged or unused columns.
     """
-    letter_class = tuple(letter_class)
     n, classes = table.shape
     single = [(s,) for s in range(n)] + [()]
     out = BuchiNfa._make(n, alphabet_size, letter_class,
                          [tuple(map(single.__getitem__, col)) for col in table.T.tolist()],
                          initial, accepting)
     out._det = True
-    if out._letter_class is letter_class and len(out._class_rows) == classes:
-        out._table = table
+    columns = [letter_class[a] for a in out._class_first_letter]
+    out._table = table if columns == list(range(classes)) else table[:, columns]
     return out
 
 
@@ -1304,18 +1305,17 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
     SIAM J. Comput. 1987).  Blocks start as accepting and non-accepting
     states; each round numbers the distinct rows (block, then per class
     the set of successor blocks: -1 if empty, the block if one, else an
-    id past n interned by np.unique among sets of its size) by first
-    occurrence in state order, until no block splits.  Only states with
+    id past n) by first occurrence in state order, until no block splits.
+    Rows and sets of two or more blocks are numbered as _init_from numbers
+    classes, by a dictionary, keyed by their bytes.  Only states with
     several successors on a class have such sets, so a deterministic A
-    pays Moore's cost.  From _ARRAY_CROSSOVER states on, one np.unique
-    over the rows viewed as bytes numbers them, ranked by first member;
-    below it, a dict of row tuples, cheaper there, gives the same numbers.
-    The quotient is read off each block's first member (_read_off); it is
-    A itself when no two states merge.  The quotient of a weak A is marked
-    weak: bisimilar states step into the same blocks, so a cycle of blocks
-    lifts, from each member of its first block, to a path of A back into
-    that block; chained, such paths close a cycle of A through all its
-    blocks, which share their acceptance with that cycle's component.
+    pays Moore's cost.  The quotient is read off each block's first
+    member (_read_off); it is A itself when no two states merge.  The
+    quotient of a weak A is marked weak: bisimilar states step into the
+    same blocks, so a cycle of blocks lifts, from each member of its first
+    block, to a path of A back into that block; chained, such paths close
+    a cycle of A through all its blocks, which share their acceptance with
+    that cycle's component.
     """
     n = A.state_count
     succ = _successor_table(A)
@@ -1334,33 +1334,28 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
     block[list(A.accepting)] = 1
     count = len(set(block[:n].tolist()))
     table = np.empty((n, 1 + succ.shape[1]), dtype=np.int64)
+    stride = table.shape[1] * table.itemsize
     while True:
         table[:, 0] = block[:n]
         table[:, 1:] = block[succ]
         if several:
-            # sorted (list, block) pairs; ids of w-block sets from n + w * len(lists)
+            # sorted (list, block) pairs; a set of two or more blocks gets an
+            # id past n, interned by the bytes of its blocks
             of, blocks = np.divmod(np.unique(owner * n + block[members]), n)
             width = np.bincount(of, minlength=len(lists))
-            code = blocks[np.cumsum(width) - width]
-            for w in np.unique(width[width > 1]).tolist():
-                wide = width == w
-                sets = np.unique(blocks[wide[of]].reshape(-1, w), axis=0, return_inverse=True)[1]
-                code[wide] = n + w * len(lists) + sets.reshape(-1)
+            end = np.cumsum(width)
+            code = blocks[end - width]
+            wide = np.flatnonzero(width > 1)
+            raw, sets = blocks.tobytes(), {}
+            code[wide] = [n + sets.setdefault(raw[8 * s:8 * e], len(sets))
+                          for s, e in zip((end - width)[wide].tolist(), end[wide].tolist())]
             table[at, column] = code
-        if n >= _ARRAY_CROSSOVER:
-            rows = table.view(np.dtype((np.void, table[0].nbytes))).reshape(n)
-            _, index, inverse = np.unique(rows, return_index=True, return_inverse=True)
-            rank = np.empty_like(index)
-            rank[np.argsort(index)] = np.arange(index.size)
-            block[:n] = rank[inverse.reshape(n)]
-            new_count = index.size
-        else:
-            ids: dict[tuple[int, ...], int] = {}
-            block[:n] = [ids.setdefault(tuple(row), len(ids)) for row in table.tolist()]
-            new_count = len(ids)
-        if new_count == count:
+        rows, ids = table.tobytes(), {}
+        block[:n] = [ids.setdefault(rows[i:i + stride], len(ids))
+                     for i in range(0, len(rows), stride)]
+        if len(ids) == count:
             break
-        count = new_count
+        count = len(ids)
     if count == n:
         return A
     # each block's first member, in block order
@@ -1548,11 +1543,10 @@ def _reduce(A: BuchiNfa) -> BuchiNfa:
 
 def _sorted_triples(A: BuchiNfa) -> Iterator[tuple[int, int, int]]:
     """The transitions (p, a, q) in sorted order, read straight from the
-    class rows."""
+    class rows, which every construction stores strictly increasing."""
     for p in range(A.state_count):
-        succ = [sorted(set(rows[p])) for rows in A._class_rows]
         for a, c in enumerate(A._letter_class):
-            for q in succ[c]:
+            for q in A._class_rows[c][p]:
                 yield p, a, q
 
 

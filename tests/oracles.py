@@ -28,8 +28,9 @@ from s1sup.semigroup import (
 # ---------------------------------------------------------------- automata
 
 
-def _product_graph(A: BuchiNfa, sigma: UpWord):
-    """Nodes (position phase, state) of the run graph of A on sigma.
+def _run_graph_edges(A: BuchiNfa, sigma: UpWord):
+    """Successors of a node (position phase, state) of the run graph of A
+    on sigma, read off A.successors.
 
     Phases 0..len(prefix)-1 spell the prefix, the rest loop through the
     period.
@@ -46,15 +47,11 @@ def _product_graph(A: BuchiNfa, sigma: UpWord):
             nxt = pre
         return nxt
 
-    trans_by = {}
-    for p, a, q in A.transitions:
-        trans_by.setdefault((p, a), []).append(q)
-    edges = {}
-    for ph in range(phases):
-        a = letter(ph)
+    def edges(node):
+        ph, s = node
         np = next_phase(ph)
-        for s in range(A.state_count):
-            edges[(ph, s)] = [(np, t) for t in trans_by.get((s, a), ())]
+        return [(np, t) for t in A.successors(s, letter(ph))]
+
     return edges
 
 
@@ -62,14 +59,18 @@ def naive_membership_up(A: BuchiNfa, sigma: UpWord) -> bool:
     """Accepts iff some infinite run on sigma hits accepting states forever.
 
     Searches the finite run graph for a reachable cycle through a node
-    whose state is accepting.
+    whose state is accepting.  Only the nodes reachable from the initial
+    nodes are visited, and their successors are kept for the cycle checks,
+    which stay among them.
     """
-    edges = _product_graph(A, sigma)
+    successors = _run_graph_edges(A, sigma)
     start = [(0, s) for s in A.initial]
     seen = set(start)
     stack = list(start)
+    edges = {}
     while stack:
         node = stack.pop()
+        edges[node] = successors(node)
         for nxt in edges[node]:
             if nxt not in seen:
                 seen.add(nxt)
