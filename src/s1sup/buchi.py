@@ -1381,8 +1381,8 @@ def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
     on 224 states or more.  A bound on the packed relation's bytes, part
     of one budget for every construction, is to replace this limit.
 
-    The order is kept on A, or inherited (_sim_reduce), so the results of
-    _reduce carry theirs to complement_weak (see _reduce).
+    The order is kept on A, or inherited (_sim_reduce), so the result of
+    _reduce's one pass carries its order to complement_weak (see _reduce).
     """
     if is_deterministic(A) or A.state_count > _SIM_LIMIT:
         return None
@@ -1455,38 +1455,37 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
     its first member's successors.  That is enough: if q simulates p, each
     successor of p is simulated by one of q, so the successors of all
     members and of the first member alone have the same maximal blocks.
-    Without one (A deterministic or over _SIM_LIMIT states) _refine
-    quotients A by bisimilarity without the n x n relation (2.9 ms on
-    Z2's 1,296-state deterministic input with the table its product hands
-    over, 4.2 ms building the table, where _direct_simulation takes 0.10 s,
-    on 2 shared cores); _reduce passes the quotient here again.  So does a
-    nondeterministic A of _BLOCK_TRANSPOSE_STATES states or more with no
-    order kept on it; the relation is built only on an A that _refine
-    leaves unchanged, as bisimilar states are mutually similar.  When
-    nothing merges or is pruned, A itself is returned.
+    A deterministic A, and a nondeterministic one of _BLOCK_TRANSPOSE_STATES
+    states or more with no order kept on it, is first replaced by its
+    quotient by bisimilarity (_refine), without the n x n relation (2.9 ms
+    on Z2's 1,296-state deterministic input with the table its product
+    hands over, 4.2 ms building the table, where _direct_simulation takes
+    0.10 s, on 2 shared cores).  That quotient goes on to the relation
+    route when it has an order, else it is the result; bisimilar states
+    are mutually similar, so the relation route ends as it would on A.
+    When nothing merges or is pruned, A itself is returned.
 
-    A nondeterministic quotient R inherits its order, so that _reduce ends
-    without a second relation: block j simulates block i exactly when A's
-    first member f_j of j simulates f_i, so R's first is the identity and
-    its strictly is A's on the first members.  This is R's greatest direct
-    simulation, as b and f_b simulate each other in the disjoint union of
-    A and R: they agree on acceptance, a successor of f_b lies in a block
-    dominated by a successor of b, and a successor of b is mutually similar
-    to a successor of f_b.  So f_j simulating f_i gives j simulating i,
-    and j simulating i gives f_j simulating f_i, through j and i, in A.
-    Each block b is live when f_b is, so in _reduce's loop, whose input is
-    trimmed, the next _trim cuts only unreachable blocks and keeps R's
+    A nondeterministic quotient R inherits its order, so that complement_weak
+    of _reduce's result needs no second relation: block j simulates block
+    i exactly when A's first member f_j of j simulates f_i, so R's first is
+    the identity and its strictly is A's on the first members.  This is
+    R's greatest direct simulation, as b and f_b simulate each other in
+    the disjoint union of A and R: they agree on acceptance, a successor
+    of f_b lies in a block dominated by a successor of b, and a successor
+    of b is mutually similar to a successor of f_b.  So f_j simulating f_i
+    gives j simulating i, and j simulating i gives f_j simulating f_i,
+    through j and i, in A.  Each block b is live when f_b is, so when A is
+    trimmed, the trim of R cuts only unreachable blocks and keeps R's
     order restricted to the rest, still the greatest (see _trim).
     """
-    n = A.state_count
-    if n <= 1:
+    if A.state_count <= 1:
         return A
-    if is_deterministic(A) or A._sim_order is None and n >= _BLOCK_TRANSPOSE_STATES:
-        refined = _refine(A)
-        if refined is not A or _simulation_order(A) is None:
-            return refined
+    if is_deterministic(A) or A._sim_order is None and A.state_count >= _BLOCK_TRANSPOSE_STATES:
+        A = _refine(A)
     order = _simulation_order(A)
-    first = order[0]
+    if order is None:
+        return A
+    n, first = A.state_count, order[0]
     head, prune = _maximal_members(A)
     # blocks are numbered by first member, which is the order of their bits
     number = {b: i for i, b in enumerate(dict.fromkeys(first))}
@@ -1520,22 +1519,19 @@ def _sim_reduce(A: BuchiNfa) -> BuchiNfa:
 
 
 def _reduce(A: BuchiNfa) -> BuchiNfa:
-    """Trim and reduce (_sim_reduce) until neither changes A.
-
-    Each pass preserves the language, and the passes enable each other,
-    so they loop.
-
-    The loop ends when _sim_reduce returns its input itself, so the
-    result keeps the simulation order computed on it or inherited by it
-    (_sim_reduce), and complement_weak of the result prunes by it without
-    running _direct_simulation again.
+    """Trim, reduce (_sim_reduce), and trim a relation route quotient
+    again, to drop the unreachable blocks its pruning leaves.  One pass is
+    final: _sim_reduce returns its result itself.  A bisimulation quotient
+    (_refine) of a trimmed automaton is trimmed and is its own quotient.
+    A relation route quotient inherits its greatest simulation and its
+    blocks are live (_sim_reduce), so its trim keeps that order, under
+    which nothing merges or is pruned; if it is deterministic, no two of
+    its states are mutually similar, so _refine leaves it as it is.
+    complement_weak of the result prunes by the order it keeps.
     """
     out = _trim(A)
-    while True:
-        reduced = _sim_reduce(out)
-        if reduced is out:
-            return out
-        out = _trim(reduced)
+    reduced = _sim_reduce(out)
+    return reduced if reduced is out or is_deterministic(out) else _trim(reduced)
 
 
 # -- text formats ---------------------------------------------------------------

@@ -504,8 +504,9 @@ def _compile(
     Every node is compiled over its own support, a mask of the declared
     variables, so the node's alphabet has 2^|support| letters however many
     variables are declared.  Atoms are built over their one or two
-    variables.  Ex2 drops its variable's bit (buchi.ex_project), and a
-    body that does not read the variable is reduced as it is.  And lifts
+    variables.  Ex2 drops its variable's bit (buchi.ex_project) and
+    reduces the result; a body that does not read the variable is reduced
+    already (or an atom), and Ex2 returns it as it is.  And lifts
     both operands to the union of their supports (_conjoin): the bits of
     every support are in the order of variables, so a lift keeps the
     operand's class rows, class numbering and successor table, and the
@@ -606,12 +607,11 @@ def _compile(
         elif isinstance(node, Not):
             out, support = _negate(args[0][0], max_colors), args[0][1]
         else:
-            A, support = args[0]
+            out, support = args[0]
             b = bit[node.var]
             if support & b:
-                A = buchi.ex_project(A, 1 << (support & b - 1).bit_count())
+                out = buchi._reduce(buchi.ex_project(out, 1 << (support & b - 1).bit_count()))
                 support ^= b
-            out = buchi._reduce(A)
         done[i] = out
         supports.append(support)
         counts.append(out.state_count)

@@ -1471,8 +1471,9 @@ def _large_copies(rng):
 
 def test_large_inputs_refine_before_the_relation(monkeypatch):
     # from _BLOCK_TRANSPOSE_STATES states on, an input with no order is
-    # refined first, and the relation is built only on one that _refine
-    # leaves unchanged; _reduce gives what the relation alone gives
+    # refined first, in the same call, and the relation is built only on
+    # one that _refine leaves unchanged; _reduce gives what the relation
+    # alone gives
     rng = random.Random(449)
     cases = []
     while len(cases) < 60:
@@ -1485,16 +1486,17 @@ def test_large_inputs_refine_before_the_relation(monkeypatch):
         forced = [buchi._reduce(_fresh(A)) for A in cases]
     assert gated == forced
 
-    def unreachable(A):
-        raise AssertionError("_direct_simulation reached")
-
-    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    relation, inputs = buchi._direct_simulation, []
     merged = 0
     for A in cases:
         R = buchi._refine(A)
         if R is not A:
             merged += 1
-            assert buchi._sim_reduce(A) == R
+            with monkeypatch.context() as m:
+                m.setattr(buchi, "_direct_simulation", lambda X: inputs.append(X) or relation(X))
+                reduced = buchi._sim_reduce(A)
+            assert reduced == buchi._sim_reduce(_fresh(R))
+    assert inputs and all(buchi._refine(X) is X for X in inputs)
     assert merged >= 30
 
 

@@ -861,7 +861,7 @@ def test_merge_compiles_are_pinned():
 
 
 # relations (buchi._direct_simulation calls) the merge compiles of TRIV, LP
-# and Z2 build; a relation that only confirmed _reduce's fixpoint on a
+# and Z2 build; a relation that only confirmed _reduce's result on a
 # quotient would show here, as a weaker reduction shows in TRIV_NODE_STATES
 MERGE_COMPILE_RELATIONS = {
     (1, ((0,),)): 9,
@@ -872,7 +872,7 @@ MERGE_COMPILE_RELATIONS = {
 
 def test_merge_compiles_build_no_relation_on_a_relation_route_quotient(monkeypatch):
     # a quotient of _sim_reduce's relation route inherits its order, and so
-    # does its trim in _reduce's loop, so no relation is built on either
+    # does its trim in _reduce, so no relation is built on either
     sim_reduce, trim, relation = buchi._sim_reduce, buchi._trim, buchi._direct_simulation
     quotients, inputs = {}, []
 
@@ -898,6 +898,91 @@ def test_merge_compiles_build_no_relation_on_a_relation_route_quotient(monkeypat
         assert len(inputs) == count, table
         assert not any(id(A) in quotients for A in inputs), table
     assert len(quotients) >= 20
+
+
+def test_merge_compiles_reduce_in_one_pass(monkeypatch):
+    # each _reduce runs _sim_reduce once, and no _refine runs on an
+    # automaton a _refine returned: a quotient by bisimilarity is its own
+    reduce_, sim_reduce, refine, relation = (
+        buchi._reduce, buchi._sim_reduce, buchi._refine, buchi._direct_simulation)
+    counts = dict.fromkeys(("reduce", "sim_reduce", "relation"), 0)
+    refined, confirmed = {}, []
+
+    def counted(key, fn):
+        def run(A):
+            counts[key] += 1
+            return fn(A)
+        return run
+
+    def recorded_refine(A):
+        if id(A) in refined:
+            confirmed.append(A)
+        R = refine(A)
+        refined[id(R)] = R
+        return R
+
+    monkeypatch.setattr(buchi, "_reduce", counted("reduce", reduce_))
+    monkeypatch.setattr(buchi, "_sim_reduce", counted("sim_reduce", sim_reduce))
+    monkeypatch.setattr(buchi, "_refine", recorded_refine)
+    monkeypatch.setattr(buchi, "_direct_simulation", counted("relation", relation))
+    for (size, table), relations in MERGE_COMPILE_RELATIONS.items():
+        counts.update(dict.fromkeys(counts, 0))
+        g = new_semigroup(size, table)
+        translate(*reduce_full(phi_merge(g), MERGE_FIRST_ORDER, merge_second_order(g)))
+        assert counts["sim_reduce"] == counts["reduce"] > 0, table
+        assert counts["relation"] == relations, table
+    assert confirmed == [] and len(refined) >= 100
+
+
+def test_vacuous_quantifier_adds_no_reduction(monkeypatch):
+    # Ex2 over a variable its body does not read returns the body's
+    # automaton, reduced already, without reducing it again; one over a
+    # variable it reads reduces its projection once
+    reduce_, calls = buchi._reduce, []
+    monkeypatch.setattr(buchi, "_reduce", lambda A: calls.append(A) or reduce_(A))
+    names = ("X", "Y", "Z", "W")
+
+    def reductions(phi):
+        calls.clear()
+        A = translate(phi, names)
+        return A, len(calls)
+
+    rng = random.Random(3101)
+    phis = [Incl("X", "Y"), Less("Y", "X"), *NONDETERMINISTIC,
+            *(random_min_formula(rng, names, 3, quantifiers=1) for _ in range(80))]
+    vacuous = 0
+    for phi in phis:
+        A, count = reductions(phi)
+        for var in names:
+            B, more = reductions(Ex2(var, phi))
+            if var in free_min(phi):
+                assert more == count + 1, (phi, var)
+            else:
+                vacuous += 1
+                assert B == A and more == count, (phi, var)
+    assert vacuous >= 80
+
+
+def test_breakpoint_budget_falls_through_to_the_general_complement(monkeypatch):
+    # with the breakpoint budget at one state, each negation of a weak
+    # nondeterministic operand takes the general complement instead; the
+    # language is the default route's on every word whose prefix and
+    # period have one or two letters
+    names = ("X", "Y", "Z")
+    letters = [(a,) for a in range(8)] + [(a, b) for a in range(8) for b in range(8)]
+    words = [UpWord(pre, per) for pre in letters for per in letters]
+    assert len(words) == 5184
+    defaults = [translate(Not(phi), names) for phi in NONDETERMINISTIC]
+    general, fallbacks = logic.complement, []
+    monkeypatch.setattr(logic, "complement", lambda A, **kw: fallbacks.append(A) or general(A, **kw))
+    monkeypatch.setattr(buchi, "_BREAKPOINT_LIMIT", 1)
+    for phi, default in zip(NONDETERMINISTIC, defaults):
+        fallbacks.clear()
+        A = translate(Not(phi), names)
+        assert len(fallbacks) == 1 and buchi.is_weak(fallbacks[0]), phi
+        assert A.state_count > default.state_count, phi
+        for word in words:
+            assert membership_up(A, word) == membership_up(default, word), (phi, word)
 
 
 # sha256 of format_nfa of translate over the 150 formulas the benchmark's
