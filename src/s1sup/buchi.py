@@ -6,6 +6,8 @@ it.  Transition tables are stored once per letter class, where two letters
 belong to the same class when they act identically on every state.  Derived
 alphabets (sets of logic variables) are exponentially large but have few
 classes, so most operations iterate over classes instead of letters.
+numpy is imported on first use, by the array routes that large automata
+take (_ARRAY_CROSSOVER); smaller ones stay on Python rows.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .semigroup import UpWord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class AlphabetMismatch(ValueError):
@@ -495,19 +498,32 @@ def union(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     return _union_many([A, B], A.alphabet_size)
 
 
-# From this size on, the array routes run: _deterministic_product from
-# this many potential pairs nA * nB, and _kept_on_table for _trim of a
-# deterministic automaton of this many states.  They pay a fixed cost in
-# numpy calls, the Python routes pay per state, pair and class.  Medians
-# per call, 2 shared cores, Python against arrays.  The deterministic
-# products of the TRIV, LP and Z2 merge compiles: 3-18 pairs 0.09-0.62 and
-# 0.25-0.65 ms, 24-60 pairs 0.28-2.1 and 0.36-1.4 ms, 117-285 pairs
-# 1.6-6.4 and 0.73-2.1 ms, 202,496 pairs 77 and 11 ms.  The deterministic
-# trims of one merge-compile and one cli-requests pass, table built in the
-# call: 0-15 states (3,015 calls) 0.007 and 0.033 ms, 16-63 states
-# 0.066-0.14 and 0.064-0.09 ms, 64-127 states 0.45-0.49 and 0.29-0.38 ms,
-# 1,296 states 4.7 and 1.5 ms.
-_ARRAY_CROSSOVER = 64
+# From this many cells on, the array routes run, and below it the Python
+# routes, which need no numpy: a run whose automata all stay below it never
+# imports numpy.  A table of an automaton has states x classes cells, and
+# _on_arrays states every switch: _refine, _read_off, the trim of a
+# deterministic automaton (_kept_on_table), complement_flip, the columns
+# _from_table keeps as a table, and the deterministic product, potential
+# pairs nA * nB x classes of letter pairs.  A relation (_relation,
+# _order_on) has states x states cells.  The array routes pay a fixed cost
+# in numpy calls, the Python routes per cell.  Each recorded call of one
+# merge-compile and one cli-requests pass at seed 1, best of 5 on 2 shared
+# cores, Python against arrays, medians in us per cell range: _refine
+# 64-255 46 and 44, 256-511 63 and 45, 512-1023 190 and 99; the relation
+# 256-511 509 and 895, 512-1023 570 and 732, 1024-4095 1,611 and 1,221;
+# _read_off 256-511 50 and 67, 512-1023 70 and 57; the trim 256-511 66 and
+# 69, 512-1023 93 and 88; the product 256-511 160 and 238, 512-1023 473 and
+# 324.  Below 64 cells (1,129 to 2,557 calls per route) the Python routes
+# take 3-16 us, the array routes 9-143.  The sum over all recorded calls
+# is 218.3 ms with the switch at 256, 215.4 at 512 and 768, 217.0 at
+# 1,024, against 213.9 with the faster route per call.  No cli-requests
+# call reaches 512 cells (at most 168, in a product).
+_ARRAY_CROSSOVER = 512
+
+
+def _on_arrays(states: int, classes: int) -> bool:
+    """Do the array routes run on a table of states x classes cells?"""
+    return states * classes >= _ARRAY_CROSSOVER
 
 
 def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> BuchiNfa:
@@ -525,29 +541,29 @@ def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> BuchiNfa:
 
     Two routes build the same automaton.  The pair loop expands one pair
     at a time, per class of letter pairs.  Without the flag, when both
-    operands are deterministic and nA * nB is at least
-    _ARRAY_CROSSOVER, _deterministic_product builds it on arrays
-    instead.  A product of two operands known deterministic is marked
-    deterministic on either route.
+    operands are deterministic and the pairs nA * nB times the classes of
+    letter pairs reach the switch (_on_arrays), _deterministic_product
+    builds it on arrays instead.  A product of two operands known
+    deterministic is marked deterministic on either route.
     """
     if A.alphabet_size != B.alphabet_size:
         raise AlphabetMismatch(
             f"alphabets differ: {A.alphabet_size} vs {B.alphabet_size}"
         )
     nA, nB = A.state_count, B.state_count
-    if (
-        not flagged
-        and nA * nB >= _ARRAY_CROSSOVER
-        and is_deterministic(A)
-        and is_deterministic(B)
-    ):
-        return _deterministic_product(A, B)
     size = nA * nB
     combo_id: dict[tuple[int, int], int] = {}
     letter_class = [
         combo_id.setdefault(combo, len(combo_id))
         for combo in zip(A._letter_class, B._letter_class)
     ]
+    if (
+        not flagged
+        and _on_arrays(size, len(combo_id))
+        and is_deterministic(A)
+        and is_deterministic(B)
+    ):
+        return _deterministic_product(A, B)
     combos = [(A._class_rows[ca], B._class_rows[cb]) for ca, cb in combo_id]
     acc_a, acc_b = A.accepting, B.accepting
     start = [p * nB + q for p in sorted(A.initial) for q in sorted(B.initial)]
@@ -603,6 +619,8 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     then sorted, and each successor code is mapped to its state by binary
     search: the result's successor table (_from_table).
     """
+    import numpy as np
+
     nA, nB = A.state_count, B.state_count
     combo_id: dict[tuple[int, int], int] = {}
     letter_class = [
@@ -634,7 +652,7 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     acc_a, acc_b = np.zeros(nA, dtype=bool), np.zeros(nB, dtype=bool)
     acc_a[list(A.accepting)] = True
     acc_b[list(B.accepting)] = True
-    return _from_table(states, A.alphabet_size, letter_class,
+    return _from_table(codes.size, states, A.alphabet_size, letter_class,
                        np.searchsorted(codes, start).tolist(),
                        np.flatnonzero(acc_a[codes // nB] & acc_b[codes % nB]).tolist())
 
@@ -791,7 +809,7 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     cycle.  Preserves the language exactly.  Returns A itself when every
     state is kept.
 
-    A deterministic A of _ARRAY_CROSSOVER states or more is trimmed on its
+    A deterministic A from the switch on (_on_arrays) is trimmed on its
     successor table (_kept_on_table); the size is checked first, as
     is_deterministic costs more on small automata than it saves.  Other
     automata take one _strongly_connected pass from the initial states,
@@ -809,8 +827,8 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
     are closed under successors, so it stays the greatest (_sim_reduce).
     """
     n = A.state_count
-    if n >= _ARRAY_CROSSOVER and is_deterministic(A):
-        keep = np.flatnonzero(_kept_on_table(A))
+    if _on_arrays(n, len(A._class_rows)) and is_deterministic(A):
+        keep = _kept_on_table(A).nonzero()[0].tolist()
         weak, reached = A._weak or None, None
     else:
         adj = _adjacency(A)
@@ -831,9 +849,10 @@ def _trim(A: BuchiNfa) -> BuchiNfa:
         # nothing to cut; the rebuilt automaton would equal A
         out = A
     else:
-        block = np.full(n + 1, -1, dtype=np.int64)
-        block[keep] = np.arange(len(keep))
-        out = _read_off(A, block, keep)
+        number = [-1] * (n + 1)
+        for i, s in enumerate(keep):
+            number[s] = i
+        out = _read_off(A, number, keep)
         if A._sim_order and len(keep) == reached and not is_deterministic(out):
             out._sim_order = _order_on(A._sim_order, keep, n)
     if weak is None:
@@ -850,6 +869,8 @@ def _kept_on_table(A: BuchiNfa) -> np.ndarray:
     Lei, LICS 1986), the states with a path through accepting states
     infinitely often.  pre(S), the states with a successor in S, is one
     gather of the table through S's mask."""
+    import numpy as np
+
     n = A.state_count
     succ = _successor_table(A)
     # masks over the states and the missing successor n, which counts as
@@ -971,10 +992,15 @@ def complement_flip(A: BuchiNfa) -> BuchiNfa:
         raise ValueError("complement_flip needs a deterministic weak automaton")
     if not A.initial:
         return _universal(A.alphabet_size)
-    n = A.state_count
-    table = np.concatenate((_successor_table(A), np.full((1, len(A._class_rows)), n)))
+    n, classes = A.state_count, len(A._class_rows)
+    if _on_arrays(n, classes):
+        import numpy as np
+
+        table = np.concatenate((_successor_table(A), np.full((1, classes), n)))
+    else:
+        table = [[row[0] if row else n for row in rows] + [n] for rows in A._class_rows]
     accepting = [p for p in range(n) if p not in A.accepting] + [n]
-    out = _from_table(table, A.alphabet_size, A._letter_class, A.initial, accepting)
+    out = _from_table(n + 1, table, A.alphabet_size, A._letter_class, A.initial, accepting)
     out._weak = True
     return out
 
@@ -1055,9 +1081,8 @@ def complement_weak(A: BuchiNfa) -> BuchiNfa:
                 order.append(key)
             targets[c].append(j)
         i += 1
-    table = np.array(targets, dtype=np.int64).reshape(len(targets), len(order)).T
     accepting = [j for j, (_, o) in enumerate(order) if not o]
-    return _from_table(table, A.alphabet_size, A._letter_class, [0], accepting)
+    return _from_table(len(order), targets, A.alphabet_size, A._letter_class, [0], accepting)
 
 
 def product_weak(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
@@ -1078,25 +1103,13 @@ def product_weak(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
 
 def _universal(alphabet_size: int) -> BuchiNfa:
     """One accepting state looping on every letter, marked weak."""
-    out = _from_table(np.array([[0]]), alphabet_size, [0] * alphabet_size, [0], [0])
+    out = _from_table(1, [[0]], alphabet_size, [0] * alphabet_size, [0], [0])
     out._weak = True
     return out
 
 
 _SIM_LIMIT = 3000
 
-
-# Delta swaps (shift, mask) that transpose an 8 x 8 bit block held in one
-# 64-bit word, row r in byte r and column c in bit c of its byte (Warren,
-# Hacker's Delight, section 7-3).
-_BLOCK_SWAPS = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in (
-        (7, 0x00AA00AA00AA00AA),
-        (14, 0x0000CCCC0000CCCC),
-        (28, 0x00000000F0F0F0F0),
-    )
-)
 
 # From this many states on, _direct_simulation transposes in 8 x 8 blocks.
 # The block route pays about 25 us per call in its numpy calls whatever n,
@@ -1110,7 +1123,7 @@ _BLOCK_SWAPS = tuple(
 # states 0.44 and 0.17 ms, 3,409 states 74 and 3.7-4.6 ms.  From it on,
 # _sim_reduce also refines an input with no order before the relation.
 # Best of 15 merge-compile passes (TRIV, LP, Z2), gate here, at
-# _ARRAY_CROSSOVER (64) and absent: 192, 201 and 191 ms; one Z3 compile
+# 64 states and absent: 192, 201 and 191 ms; one Z3 compile
 # 2.33, 2.28 and 2.81 s.
 _BLOCK_TRANSPOSE_STATES = 224
 
@@ -1122,6 +1135,8 @@ def _byte_transposer(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
     (n + 7) // 8 bytes of out's first n rows, bits past column n zero,
     and changes nothing else of out.  Unpacks to one byte per bit and
     packs the strided copy of the transposed bytes."""
+    import numpy as np
+
     nbytes = (n + 7) // 8
 
     def transpose(out, rows):
@@ -1129,6 +1144,24 @@ def _byte_transposer(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
         out.view(np.uint8)[:n, :nbytes] = np.packbits(np.ascontiguousarray(bits.T), axis=1)
 
     return transpose
+
+
+@cache
+def _block_swaps():
+    """Delta swaps (shift, mask) that transpose an 8 x 8 bit block held in
+    one 64-bit word, row r in byte r and column c in bit c of its byte
+    (Warren, Hacker's Delight, section 7-3); built on the first block
+    transpose, as numpy loads only for the array routes."""
+    import numpy as np
+
+    return tuple(
+        (np.uint64(shift), np.uint64(mask))
+        for shift, mask in (
+            (7, 0x00AA00AA00AA00AA),
+            (14, 0x0000CCCC0000CCCC),
+            (28, 0x00000000F0F0F0F0),
+        )
+    )
 
 
 def _block_transposer(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
@@ -1144,6 +1177,9 @@ def _block_transposer(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
     matrix four times (in, gather, scatter, out) and makes 18 passes over
     them as words; the buffers are allocated here once and every step
     works in place."""
+    import numpy as np
+
+    swaps = _block_swaps()
     nbytes = (n + 7) // 8
     # padded to whole blocks; the rows past n are zero before each gather
     pad = np.zeros((8 * nbytes, nbytes), dtype=np.uint8)
@@ -1158,7 +1194,7 @@ def _block_transposer(n: int) -> Callable[[np.ndarray, np.ndarray], None]:
         pad[:n] = rows.view(np.uint8)[:n, :nbytes]
         pad[n:] = 0
         word_bytes[...] = gather
-        for shift, mask in _BLOCK_SWAPS:
+        for shift, mask in swaps:
             np.right_shift(word, shift, out=tmp)
             np.bitwise_xor(tmp, word, out=tmp)
             np.bitwise_and(tmp, mask, out=tmp)
@@ -1196,6 +1232,8 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
     gathers and the transpose's own buffers, whatever the number of
     classes.
     """
+    import numpy as np
+
     n = A.state_count
     nbytes = (n + 7) // 8
     words = (nbytes + 7) // 8
@@ -1242,6 +1280,8 @@ def _successor_table(A: BuchiNfa) -> np.ndarray:
     _from_table kept its own or _relabel carried A's source's; no caller
     writes to it."""
     if A._table is None:
+        import numpy as np
+
         n = A.state_count
         A._table = np.array(
             [[row[0] if row else n for row in rows] for rows in A._class_rows],
@@ -1250,51 +1290,75 @@ def _successor_table(A: BuchiNfa) -> np.ndarray:
     return A._table
 
 
-def _from_table(table: np.ndarray, alphabet_size: int, letter_class: Sequence[int],
+def _from_table(n: int, table, alphabet_size: int, letter_class: Sequence[int],
                 initial: Iterable[int], accepting: Iterable[int]) -> BuchiNfa:
-    """The automaton with successor table table, (states, classes) with the
-    row count for none, and at most one initial state: the one place that
-    builds a deterministic automaton from a table.  The class rows are read
-    off once, and the result is marked deterministic.  It keeps the table
-    as its _successor_table, with the column of each of its classes' first
-    letters: the table itself when _make keeps the class numbering and
-    every column is a class, else a copy without merged or unused columns.
+    """The automaton of n states with successor table table, n for none,
+    and at most one initial state: the one place that builds a
+    deterministic automaton from a table.  table is an array (states,
+    classes), or its columns as Python lists, one per class.  The class
+    rows are read off once, and the result is marked deterministic.  It
+    keeps an array as its _successor_table, and builds one from columns
+    from the switch on (_on_arrays), with the column of each of its
+    classes' first letters, so columns of classes _make merges and columns
+    no letter uses drop out; an array is kept itself when they are none.
+    Below the switch, columns give no table.
     """
-    n, classes = table.shape
+    columns = table if isinstance(table, list) else table.T.tolist()
     single = [(s,) for s in range(n)] + [()]
     out = BuchiNfa._make(n, alphabet_size, letter_class,
-                         [tuple(map(single.__getitem__, col)) for col in table.T.tolist()],
+                         [tuple(map(single.__getitem__, col)) for col in columns],
                          initial, accepting)
     out._det = True
-    columns = [letter_class[a] for a in out._class_first_letter]
-    out._table = table if columns == list(range(classes)) else table[:, columns]
+    kept = [letter_class[a] for a in out._class_first_letter]
+    if not isinstance(table, list):
+        out._table = table if kept == list(range(table.shape[1])) else table[:, kept]
+    elif _on_arrays(n, len(kept)):
+        import numpy as np
+
+        out._table = np.array([columns[c] for c in kept], dtype=np.int64).reshape(len(kept), n).T
     return out
 
 
-def _read_off(A: BuchiNfa, block: np.ndarray, first: list[int] | np.ndarray) -> BuchiNfa:
-    """The automaton whose state i is A's state first[i] renamed by block:
-    the one rebuild of _trim and _refine.  block[p] is p's new state, -1
-    when p is dropped, and block[n] is -1 for a missing successor.  Rows
-    are _successor_table(A) gathered through block: for an A known
-    deterministic, the result's table (_from_table).  Otherwise only rows
-    of two or more successors are rebuilt in Python, as the sorted set of
-    their kept successors' states.  The initial and accepting states are
-    A's kept ones.
+def _read_off(A: BuchiNfa, number: list[int], first: list[int]) -> BuchiNfa:
+    """The automaton whose state i is A's state first[i] renamed by number:
+    the one rebuild of _trim and _refine.  number[p] is p's new state, -1
+    when p is dropped, and number[n] is -1 for a missing successor.  A row
+    of at most one successor is that successor renamed, and a row of two
+    or more the sorted set of its kept successors' states.  For an A known
+    deterministic, the renamed first successors are the result's table
+    (_from_table).  The initial and accepting states are A's kept ones.
+    From the switch on (_on_arrays), the first successors are
+    _successor_table(A) gathered through number, and only rows of two or
+    more successors are rebuilt in Python; below it, every row is.
     """
-    m = len(first)
-    number = block.tolist()
-    table = block[_successor_table(A)[first]]
+    m, n = len(first), A.state_count
     initial = [number[s] for s in A.initial if number[s] >= 0]
     accepting = [number[s] for s in A.accepting if number[s] >= 0]
-    if A._det:
-        table[table < 0] = m
-        return _from_table(table, A.alphabet_size, A._letter_class, initial, accepting)
     single = [(b,) for b in range(m)] + [()]
-    rows = [list(map(single.__getitem__, col)) for col in table.T.tolist()]
-    for old, row in zip(A._class_rows, rows):
-        for i, p in enumerate(first):
-            if len(old[p]) > 1:
-                row[i] = tuple(sorted({number[q] for q in old[p]} - {-1}))
+    if _on_arrays(n, len(A._class_rows)):
+        import numpy as np
+
+        table = np.array(number)[_successor_table(A)[first]]
+        if A._det:
+            table[table < 0] = m
+            return _from_table(m, table, A.alphabet_size, A._letter_class, initial, accepting)
+        rows = [list(map(single.__getitem__, col)) for col in table.T.tolist()]
+        for old, row in zip(A._class_rows, rows):
+            for i, p in enumerate(first):
+                if len(old[p]) > 1:
+                    row[i] = tuple(sorted({number[q] for q in old[p]} - {-1}))
+    elif A._det:
+        none = (n,)
+        to = [m if b < 0 else b for b in number]
+        table = [[to[(rows[p] or none)[0]] for p in first] for rows in A._class_rows]
+        return _from_table(m, table, A.alphabet_size, A._letter_class, initial, accepting)
+    else:
+        rows = [
+            [single[number[row[0]]] if len(row) == 1
+             else tuple(sorted({number[q] for q in row} - {-1})) if row else ()
+             for row in map(rows.__getitem__, first)]
+            for rows in A._class_rows
+        ]
     return BuchiNfa._make(m, A.alphabet_size, A._letter_class, list(map(tuple, rows)),
                           initial, accepting)
 
@@ -1304,19 +1368,60 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
     partition refinement, generalised to relations (Paige and Tarjan,
     SIAM J. Comput. 1987).  Blocks start as accepting and non-accepting
     states; each round numbers the distinct rows (block, then per class
-    the set of successor blocks: -1 if empty, the block if one, else an
-    id past n) by first occurrence in state order, until no block splits.
-    Rows and sets of two or more blocks are numbered as _init_from numbers
-    classes, by a dictionary, keyed by their bytes.  Only states with
-    several successors on a class have such sets, so a deterministic A
-    pays Moore's cost.  The quotient is read off each block's first
-    member (_read_off); it is A itself when no two states merge.  The
-    quotient of a weak A is marked weak: bisimilar states step into the
-    same blocks, so a cycle of blocks lifts, from each member of its first
-    block, to a path of A back into that block; chained, such paths close
-    a cycle of A through all its blocks, which share their acceptance with
-    that cycle's component.
+    the set of successor blocks: -1 if empty, the block if one, else a
+    set) by first occurrence in state order, until no block splits.  Only
+    states with several successors on a class have such sets, so a
+    deterministic A pays Moore's cost.  From the switch on (_on_arrays)
+    the rounds run on arrays (_blocks_on_arrays); below it, rows are
+    tuples numbered by a dictionary.  The quotient is read off each
+    block's first member (_read_off); it is A itself when no two states
+    merge.  The quotient of a weak A is marked weak: bisimilar states step
+    into the same blocks, so a cycle of blocks lifts, from each member of
+    its first block, to a path of A back into that block; chained, such
+    paths close a cycle of A through all its blocks, which share their
+    acceptance with that cycle's component.
     """
+    n = A.state_count
+    if _on_arrays(n, len(A._class_rows)):
+        block = _blocks_on_arrays(A)
+    else:
+        several = [] if is_deterministic(A) else [
+            (c, p, row) for c, rows in enumerate(A._class_rows)
+            for p, row in enumerate(rows) if len(row) > 1
+        ]
+        none = (n,)
+        heads = [[(row or none)[0] for row in rows] for rows in A._class_rows]
+        # block[n] is the block of a missing successor, -1 in every round
+        block = [int(p in A.accepting) for p in range(n)] + [-1]
+        count = len(set(block[:n]))
+        while True:
+            columns = [list(map(block.__getitem__, h)) for h in heads]
+            for c, p, row in several:
+                blocks = {block[q] for q in row}
+                columns[c][p] = blocks.pop() if len(blocks) == 1 else frozenset(blocks)
+            ids: dict = {}
+            block = [ids.setdefault(key, len(ids)) for key in zip(block[:n], *columns)] + [-1]
+            if len(ids) == count:
+                break
+            count = len(ids)
+    # blocks are numbered by first member
+    first: dict[int, int] = {}
+    for p in range(n):
+        first.setdefault(block[p], p)
+    if len(first) == n:
+        return A
+    out = _read_off(A, block, list(first.values()))
+    if A._weak:
+        out._weak = True
+    return out
+
+
+def _blocks_on_arrays(A: BuchiNfa) -> list[int]:
+    """_refine's rounds on arrays, returning the final block of each state
+    and -1 for a missing successor.  A row is the bytes of its entries,
+    and a set of two or more blocks an id past n, interned by its bytes."""
+    import numpy as np
+
     n = A.state_count
     succ = _successor_table(A)
     # (state, 1 + class, list) per list of two or more successors
@@ -1354,24 +1459,16 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
         block[:n] = [ids.setdefault(rows[i:i + stride], len(ids))
                      for i in range(0, len(rows), stride)]
         if len(ids) == count:
-            break
+            return block.tolist()
         count = len(ids)
-    if count == n:
-        return A
-    # each block's first member, in block order
-    first = np.unique(block[:n], return_index=True)[1].tolist()
-    out = _read_off(A, block, first)
-    if A._weak:
-        out._weak = True
-    return out
 
 
 def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
-    """A's direct simulation (_direct_simulation) as (first, strictly),
-    or None for deterministic automata and for automata over _SIM_LIMIT
-    states.  first[p] is the lowest numbered state mutually similar to p,
-    and strictly[p] the bitmask of the states that strictly simulate p:
-    q simulates p exactly when bit q of strictly[p] is set or first[q] ==
+    """A's direct simulation as (first, strictly) (_relation), or None for
+    deterministic automata and for automata over _SIM_LIMIT states.
+    first[p] is the lowest numbered state mutually similar to p, and
+    strictly[p] the bitmask of the states that strictly simulate p: q
+    simulates p exactly when bit q of strictly[p] is set or first[q] ==
     first[p].  _sim_reduce and complement_weak prune by this one order.
 
     Deterministic automata need no relation: _sim_reduce refines them
@@ -1387,29 +1484,97 @@ def _simulation_order(A: BuchiNfa) -> tuple[list[int], list[int]] | None:
     if is_deterministic(A) or A.state_count > _SIM_LIMIT:
         return None
     if A._sim_order is None:
+        A._sim_order = _relation(A)
+    return A._sim_order
+
+
+def _relation(A: BuchiNfa) -> tuple[list[int], list[int]]:
+    """A's greatest direct simulation as (first, strictly), the one place
+    that builds it (see _simulation_order).  From the switch on, counted
+    in states x states cells (_on_arrays), _direct_simulation builds it
+    on arrays.  Below it, sim[p] is the mask of the states that simulate
+    p, from the accepting states for an accepting p and all states
+    otherwise.  A round takes each class c in turn and removes from sim[p]
+    every state with no c successor in sim[p'], for each c successor p'
+    of p, until a round removes nothing; the states with a c successor in
+    a mask are the union of the c predecessors of its members."""
+    n = A.state_count
+    if _on_arrays(n, n):
         sim = _direct_simulation(A)
         # argmax finds the first mutually similar state of each row
-        A._sim_order = ((sim & sim.T).argmax(axis=1).tolist(), _masks(sim & ~sim.T))
-    return A._sim_order
+        return (sim & sim.T).argmax(axis=1).tolist(), _masks(sim & ~sim.T)
+    acc = A.accepting
+    sim = [sum(1 << q for q in acc) if p in acc else (1 << n) - 1 for p in range(n)]
+    classes = []
+    for rows in A._class_rows:
+        pred = [0] * n
+        for q, row in enumerate(rows):
+            for s in row:
+                pred[s] |= 1 << q
+        moves = [(p, row) for p, row in enumerate(rows) if row]
+        classes.append((moves, pred, [s for s in range(n) if pred[s]]))
+    removed = True
+    while removed:
+        removed = False
+        for moves, pred, targets in classes:
+            pre = {s: _mask_image(pred, sim[s]) for s in targets}
+            for p, row in moves:
+                m = sim[p]
+                for s in row:
+                    m &= pre[s]
+                if m != sim[p]:
+                    sim[p] = m
+                    removed = True
+    first, strictly = [], []
+    for p, m in enumerate(sim):
+        mutual, rest = 0, m
+        while rest:
+            low = rest & -rest
+            if sim[low.bit_length() - 1] >> p & 1:
+                mutual |= low
+            rest ^= low
+        first.append((mutual & -mutual).bit_length() - 1)
+        strictly.append(m ^ mutual)
+    return first, strictly
 
 
 def _masks(bits: np.ndarray) -> list[int]:
     """The rows of a boolean matrix as bitmasks, column j in bit j."""
+    import numpy as np
+
     nbytes = (bits.shape[1] + 7) // 8
     buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+    return [int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
+            for i in range(bits.shape[0])]
 
 
 def _order_on(order: tuple[list[int], list[int]], keep: Sequence[int], n: int):
     """A simulation order (first, strictly) of n states restricted to the
     states keep, renumbered in order: a class's lowest kept member is its
-    first, and bit j of the i-th mask is bit keep[j] of strictly[keep[i]]."""
+    first, and bit j of the i-th mask is bit keep[j] of strictly[keep[i]].
+    From the switch on, in states x states cells (_on_arrays), the masks
+    are gathered as bit arrays; below it, bit by bit."""
     first, strictly = order
     lowest: dict[int, int] = {}
-    rows = b"".join(strictly[p].to_bytes((n + 7) // 8, "little") for p in keep)
-    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(len(keep), -1),
-                         axis=1, count=n, bitorder="little")
-    return [lowest.setdefault(first[p], i) for i, p in enumerate(keep)], _masks(bits[:, keep])
+    first_on = [lowest.setdefault(first[p], i) for i, p in enumerate(keep)]
+    if _on_arrays(n, n):
+        import numpy as np
+
+        nbytes = (n + 7) // 8
+        rows = b"".join(strictly[p].to_bytes(nbytes, "little") for p in keep)
+        bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8).reshape(len(keep), nbytes),
+                             axis=1, count=n, bitorder="little")
+        return first_on, _masks(bits[:, keep])
+    bit = {p: 1 << j for j, p in enumerate(keep)}
+    masks = []
+    for p in keep:
+        out, rest = 0, strictly[p]
+        while rest:
+            low = rest & -rest
+            out |= bit.get(low.bit_length() - 1, 0)
+            rest ^= low
+        masks.append(out)
+    return first_on, masks
 
 
 def _maximal_members(A: BuchiNfa) -> tuple[list[int], Callable[[int], int]]:

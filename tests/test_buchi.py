@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -650,9 +651,9 @@ def test_complement_weak_on_rows_with_mutually_similar_states():
 
 def test_complement_weak_leaves_deterministic_and_large_operands_unpruned(monkeypatch):
     def unreachable(A):
-        raise AssertionError("_direct_simulation reached")
+        raise AssertionError("_relation reached")
 
-    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    monkeypatch.setattr(buchi, "_relation", unreachable)
     rng = random.Random(439)
     for _ in range(30):
         A = random_det_weak_buchi(rng)
@@ -808,10 +809,17 @@ def random_det_operand(rng, alphabet):
     return A
 
 
+def _product_cells(A, B):
+    """Potential pairs times classes of letter pairs: the cells that
+    _on_arrays counts for a product of A and B."""
+    return A.state_count * B.state_count * len(set(zip(A._letter_class, B._letter_class)))
+
+
 def test_array_product_equals_pair_loop(monkeypatch):
     # product_weak of two deterministic operands takes the array route from
-    # _ARRAY_CROSSOVER potential pairs on; with the constant at 0 every
-    # such product takes it, and above every size here none does
+    # _ARRAY_CROSSOVER cells (potential pairs times classes of letter
+    # pairs) on; with the constant at 0 every such product takes it, and
+    # above every size here none does
     rng = random.Random(433)
     arrays, built = buchi._deterministic_product, []
 
@@ -825,12 +833,12 @@ def test_array_product_equals_pair_loop(monkeypatch):
         return build(A, B), built[:]
 
     monkeypatch.setattr(buchi, "_deterministic_product", recorded)
-    crossover, above = buchi._ARRAY_CROSSOVER, 13 * 13
+    crossover, above = buchi._ARRAY_CROSSOVER, 13 * 13 * 64
     sizes = []
     for alphabet in (1, 2, 4, 64):
         for _ in range(60):
             A, B = random_det_operand(rng, alphabet), random_det_operand(rng, alphabet)
-            sizes.append(A.state_count * B.state_count)
+            sizes.append(_product_cells(A, B))
             _, chosen = route(crossover, product_weak, A, B)
             assert chosen == ([(A, B)] if sizes[-1] >= crossover else [])
             loop, chosen = route(above, product_weak, A, B)
@@ -844,7 +852,7 @@ def test_array_product_equals_pair_loop(monkeypatch):
 
 
 def test_array_products_keep_their_table():
-    # a deterministic product of _ARRAY_CROSSOVER pairs or more keeps the
+    # a deterministic product of _ARRAY_CROSSOVER cells or more keeps the
     # successor table it was built on, also when _make merges letter pairs
     # whose columns are equal.  Most B here have no transition on letters
     # 2 and 3, which A's classes tell apart, so those pairs' columns are
@@ -856,7 +864,7 @@ def test_array_products_keep_their_table():
         if rng.random() < 0.75:
             B = BuchiNfa(B.state_count, 4, [t for t in B.transitions if t[1] < 2],
                          B.initial, B.accepting)
-        if A.state_count * B.state_count < buchi._ARRAY_CROSSOVER:
+        if _product_cells(A, B) < buchi._ARRAY_CROSSOVER:
             continue
         products += 1
         P = product_weak(A, B)
@@ -1171,9 +1179,9 @@ def test_sim_reduce_returns_its_input_and_leaves_the_relation_on_it(monkeypatch)
     # no order, and no relation built, for deterministic automata and
     # for nondeterministic ones over the limit
     def unreachable(A):
-        raise AssertionError("_direct_simulation reached")
+        raise AssertionError("_relation reached")
 
-    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    monkeypatch.setattr(buchi, "_relation", unreachable)
     for _ in range(30):
         assert buchi._simulation_order(random_det_weak_buchi(rng)) is None
     n = buchi._SIM_LIMIT + 1
@@ -1346,11 +1354,11 @@ def test_sim_reduce_relation_route_matches_naive_quotient():
 
 
 def test_sim_reduce_of_deterministic_automata_matches_naive_quotient(monkeypatch):
-    # the refinement route alone: _direct_simulation must not be reached
+    # the refinement route alone: no relation may be built
     def unreachable(A):
         raise AssertionError("deterministic input took the relation route")
 
-    monkeypatch.setattr(buchi, "_direct_simulation", unreachable)
+    monkeypatch.setattr(buchi, "_relation", unreachable)
     rng = random.Random(437)
     merged = partial = no_initial = shared = large = 0
     cases = [(rng.randint(2, 12), rng.randint(1, 3)) for _ in range(300)]
@@ -1486,14 +1494,14 @@ def test_large_inputs_refine_before_the_relation(monkeypatch):
         forced = [buchi._reduce(_fresh(A)) for A in cases]
     assert gated == forced
 
-    relation, inputs = buchi._direct_simulation, []
+    relation, inputs = buchi._relation, []
     merged = 0
     for A in cases:
         R = buchi._refine(A)
         if R is not A:
             merged += 1
             with monkeypatch.context() as m:
-                m.setattr(buchi, "_direct_simulation", lambda X: inputs.append(X) or relation(X))
+                m.setattr(buchi, "_relation", lambda X: inputs.append(X) or relation(X))
                 reduced = buchi._sim_reduce(A)
             assert reduced == buchi._sim_reduce(_fresh(R))
     assert inputs and all(buchi._refine(X) is X for X in inputs)
@@ -1506,7 +1514,7 @@ def test_quotients_inherit_the_greatest_simulation(monkeypatch):
     # kept is the one a fresh copy computes, and _reduce's result is its
     # own reduction.  Trims of quotients of untrimmed inputs cut dead
     # states, after which the order is not carried
-    reduce_, sim_reduce, relation = buchi._reduce, buchi._sim_reduce, buchi._direct_simulation
+    reduce_, sim_reduce, relation = buchi._reduce, buchi._sim_reduce, buchi._relation
     reduced, quotients, related = [], [], []
 
     def recorded_reduce(A):
@@ -1521,7 +1529,7 @@ def test_quotients_inherit_the_greatest_simulation(monkeypatch):
 
     monkeypatch.setattr(buchi, "_reduce", recorded_reduce)
     monkeypatch.setattr(buchi, "_sim_reduce", recorded_sim_reduce)
-    monkeypatch.setattr(buchi, "_direct_simulation", lambda A: related.append(A) or relation(A))
+    monkeypatch.setattr(buchi, "_relation", lambda A: related.append(A) or relation(A))
     for g in (new_semigroup(1, [[0]]), new_semigroup(2, [[0, 0], [1, 1]]),
               new_semigroup(2, [[0, 1], [1, 0]])):
         logic.translate(*logic.reduce_full(phi_merge(g), MERGE_FIRST_ORDER, merge_second_order(g)))
@@ -1541,6 +1549,33 @@ def test_quotients_inherit_the_greatest_simulation(monkeypatch):
     for R in reduced + quotients + trims:
         _assert_stored_facts(R)
     assert len(quotients) >= 300 and inherited >= 100, (len(quotients), inherited)
+
+
+def test_relation_quotient_can_leave_a_block_unreachable_without_a_prune(monkeypatch):
+    # _sim_reduce reads each block's successors off its first member alone.
+    # Here states 2, 4 and 6 are mutually similar, and state 1, strictly
+    # simulated by 0, 3 and 5, is a successor of 4 only, so the block of 1
+    # is unreachable in the quotient of this trimmed automaton although no
+    # set of blocks was pruned: _reduce trims every relation route quotient
+    # again, not only those with a prune
+    A = parse_nfa("nfa 7 1\ninitial 4\naccepting 0\n" + "".join(
+        f"trans {p} 0 {q}\n" for p, q in ((0, 6), (1, 4), (1, 6), (2, 3), (2, 5), (3, 0),
+                                         (3, 2), (3, 4), (3, 6), (4, 1), (4, 3), (4, 5),
+                                         (5, 0), (5, 4), (6, 3), (6, 5))))
+    pruned, members = [], buchi._maximal_members
+
+    def recorded(X):
+        head, prune = members(X)
+        return head, lambda mask: pruned.append(prune(mask) != mask) or prune(mask)
+
+    monkeypatch.setattr(buchi, "_maximal_members", recorded)
+    assert buchi._trim(A) is A
+    R = buchi._sim_reduce(A)
+    assert pruned and not any(pruned)
+    assert buchi._simulation_order(A)[0] == [0, 1, 2, 3, 2, 3, 2]
+    T = buchi._trim(R)
+    assert T == naive_trim(R) and T.state_count == R.state_count - 1 == 3
+    assert buchi._reduce(_fresh(A)) == T
 
 
 def _fresh(A):
@@ -1613,18 +1648,20 @@ def _large_case(rng, i):
     return A
 
 
-def test_array_trim_and_refine_match_naive_oracles():
-    # from _ARRAY_CROSSOVER states on, a deterministic automaton is trimmed
+def test_array_trim_and_refine_match_naive_oracles(monkeypatch):
+    # from _ARRAY_CROSSOVER cells on, a deterministic automaton is trimmed
     # on its successor table, and the rows of every automaton are numbered
-    # by np.unique; both routes must give the oracles' automata, and every
-    # result must store true facts about itself
+    # on arrays; both routes must give the oracles' automata, and every
+    # result must store true facts about itself.  The switch is lowered to
+    # 64 cells, so that every case of 64 states or more is on arrays
+    monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", 64)
     rng = random.Random(445)
     seen = dict.fromkeys(
         ("cut", "kept", "emptied", "not_weak", "table_kept", "merged", "not_merged"), 0
     )
     for i in range(140):
         A = _large_case(rng, i)
-        assert A.state_count >= buchi._ARRAY_CROSSOVER
+        assert buchi._on_arrays(A.state_count, len(A._class_rows))
         seen["not_weak"] += not is_weak(_fresh(A))
         T = buchi._trim(A)
         assert T == naive_trim(A), format_nfa(A)
@@ -1643,11 +1680,13 @@ def test_array_trim_and_refine_match_naive_oracles():
     assert min(seen["merged"], seen["not_merged"]) >= 5, seen
 
 
-def test_products_and_complements_store_true_facts():
+def test_products_and_complements_store_true_facts(monkeypatch):
     # complement_flip and complement_weak build deterministic automata, and
     # products of two operands known deterministic are deterministic on
     # either route; complement_flip and product_weak of weak operands are
-    # weak.  Each is marked so, and each mark is true.
+    # weak.  Each is marked so, and each mark is true.  The switch is
+    # lowered to 64 cells, so that both routes run on these small operands
+    monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", 64)
     rng = random.Random(446)
     arrays = tables = 0
     for _ in range(150):
@@ -1664,7 +1703,7 @@ def test_products_and_complements_store_true_facts():
         assert I._det is True
         for R in (F, C, P, I):
             _assert_stored_facts(R)
-        arrays += A.state_count * B.state_count >= buchi._ARRAY_CROSSOVER
+        arrays += _product_cells(A, B) >= buchi._ARRAY_CROSSOVER
         tables += P._table is not None
     # products on arrays, which keep their table
     assert arrays >= 30 and tables >= 15
@@ -1687,29 +1726,42 @@ def test_products_and_complements_store_true_facts():
     assert not_weak >= 30
 
 
-def test_flips_and_breakpoint_complements_carry_their_tables():
+def _assert_table_from_the_switch_on(R):
+    """R, built from a successor table, keeps one exactly from the switch
+    on (_on_arrays); below it, the table _successor_table builds on demand
+    equals a fresh copy's."""
+    on_arrays = buchi._on_arrays(R.state_count, len(R._class_rows))
+    assert (R._table is not None) == on_arrays, format_nfa(R)
+    if not on_arrays:
+        table = buchi._successor_table(R)
+        assert R._table is table and (table == buchi._successor_table(_fresh(R))).all()
+    _assert_stored_facts(R)
+
+
+def test_flips_and_breakpoint_complements_carry_their_tables(monkeypatch):
     # both are built from a successor table over A's letter classes and
-    # always keep it: complement_flip's classes stay distinct, as the sink
-    # completes only empty rows; complement_weak's table drops the columns
-    # of classes merged when two of A's classes give equal target columns
-    rng = random.Random(447)
-    merged = {"det": 0, "nondet": 0}
-    for i in range(400):
-        if i % 2:
-            A = random_weak_buchi(rng, 5, 2)
-        else:
-            A = random_det_weak_buchi(rng, max_states=12)
-            F = complement_flip(A)
-            assert F._table is not None, format_nfa(A)
-            _assert_stored_facts(F)
-        C = complement_weak(A)
-        assert C._table is not None, format_nfa(A)
-        _assert_stored_facts(C)
-        merged["nondet" if i % 2 else "det"] += len(C._class_rows) < len(A._class_rows)
-    assert merged["det"] >= 20 and merged["nondet"] >= 80, merged
+    # keep it from the switch on, here at 0 cells, where every result is on
+    # arrays, and at the shipped switch, which these small results are
+    # below: complement_flip's classes stay distinct, as the sink completes
+    # only empty rows; complement_weak's table drops the columns of classes
+    # merged when two of A's classes give equal target columns
+    for crossover in (0, buchi._ARRAY_CROSSOVER):
+        monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", crossover)
+        rng = random.Random(447)
+        merged = {"det": 0, "nondet": 0}
+        for i in range(400):
+            if i % 2:
+                A = random_weak_buchi(rng, 5, 2)
+            else:
+                A = random_det_weak_buchi(rng, max_states=12)
+                _assert_table_from_the_switch_on(complement_flip(A))
+            C = complement_weak(A)
+            _assert_table_from_the_switch_on(C)
+            merged["nondet" if i % 2 else "det"] += len(C._class_rows) < len(A._class_rows)
+        assert merged["det"] >= 20 and merged["nondet"] >= 80, merged
 
 
-def test_table_handover_guard_on_edge_cases():
+def test_table_handover_guard_on_edge_cases(monkeypatch):
     no_letters = [empty_nfa(0), BuchiNfa(1, 0, [], [0], [0]), BuchiNfa(70, 0, [], [0], [0])]
     cycle = BuchiNfa(70, 1, [(p, 0, (p + 1) % 70) for p in range(70)], [], range(70))
     # letter 1 differs from letter 0 only on the unreachable state 1, so
@@ -1729,17 +1781,33 @@ def test_table_handover_guard_on_edge_cases():
         R = buchi._refine(A)
         assert R == naive_bisim_quotient(A) and (R is A) == (A.state_count < 70)
         _assert_stored_facts(R)
-    merged = complement_weak(unused)
-    assert len(merged._class_rows) == 1 and merged._table.shape == (1, 1)
-    assert complement_flip(no_letters[1])._table.shape == (2, 0)
+    # below the switch no table is kept, and one built on demand has the
+    # shape a table kept from the switch on has
+    for crossover in (buchi._ARRAY_CROSSOVER, 0):
+        with monkeypatch.context() as m:
+            m.setattr(buchi, "_ARRAY_CROSSOVER", crossover)
+            merged, flipped = complement_weak(unused), complement_flip(no_letters[1])
+            kept = (merged._table, flipped._table)
+        assert (kept == (None, None)) == (crossover > 0)
+        assert len(merged._class_rows) == 1 and buchi._successor_table(merged).shape == (1, 1)
+        assert buchi._successor_table(flipped).shape == (2, 0)
+        _assert_stored_facts(merged)
+        _assert_stored_facts(flipped)
     # a column no letter uses has no class, so the table kept drops it
     table = np.array([[0, 1], [1, 0]], dtype=np.int64)
-    R = buchi._from_table(table, 1, [0], [0], [1])
+    R = buchi._from_table(2, table, 1, [0], [0], [1])
     assert R == BuchiNfa(2, 1, [(0, 0, 0), (1, 0, 1)], [0], [1]) and R._table.shape == (2, 1)
     _assert_stored_facts(R)
-    R = buchi._from_table(table, 2, [0, 1], [0], [1])
+    R = buchi._from_table(2, table, 2, [0, 1], [0], [1])
     assert R._table is table
     _assert_stored_facts(R)
+    # columns as Python lists give a table from the switch on only
+    for crossover in (4, 5):
+        with monkeypatch.context() as m:
+            m.setattr(buchi, "_ARRAY_CROSSOVER", crossover)
+            R = buchi._from_table(2, [[0, 1], [1, 0]], 2, [0, 1], [0], [1])
+        assert (R._table is None) == (crossover > 4)
+        _assert_stored_facts(R)
 
 
 def test_direct_simulation_memory_does_not_grow_with_letter_classes():
@@ -1757,6 +1825,130 @@ def test_direct_simulation_memory_does_not_grow_with_letter_classes():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# -- Python routes against array routes ------------------------------------------
+
+
+def _route_case(rng, cells, det=False):
+    """An automaton of up to cells states x letters, 0 states included:
+    1-4 letters, sometimes one a copy of another (a shared class); each
+    state gets 0, 1 or 2 successors per letter, so some states have none
+    and some rows are nondeterministic, or, with det, at most one and
+    one initial state."""
+    alphabet = rng.randint(1, 4)
+    n = rng.choice((0, rng.randint(1, 8), rng.randint(0, cells // alphabet)))
+    counts = (0, 1, 1) if det else (0, 1, 1, 2)
+    trips = [(p, a, rng.randrange(n)) for p in range(n) for a in range(alphabet)
+             for _ in range(rng.choice(counts))]
+    if alphabet > 1 and rng.random() < 0.3:
+        src, dst = rng.sample(range(alphabet), 2)
+        trips = [t for t in trips if t[1] != dst] + [(p, dst, q) for p, a, q in trips if a == src]
+    if not n:
+        initial = []
+    elif det:
+        initial = [rng.randrange(n)]
+    else:
+        initial = rng.sample(range(n), rng.randint(1, min(n, 3)))
+    return BuchiNfa(n, alphabet, trips, initial, rng.sample(range(n), rng.randint(0, n)))
+
+
+def _weakened(rng, A):
+    """A with acceptance made constant on each strongly connected component."""
+    edges: dict[int, list[int]] = {}
+    for p, _, q in A.transitions:
+        edges.setdefault(p, []).append(q)
+    comp = scc_index(A.state_count, edges)
+    flag = [rng.random() < 0.5 for _ in range(max(comp, default=-1) + 1)]
+    accepting = [s for s in range(A.state_count) if flag[comp[s]]]
+    return BuchiNfa(A.state_count, A.alphabet_size, A.transitions, A.initial, accepting)
+
+
+def _marked(A):
+    """A with its determinism computed and kept on it."""
+    is_deterministic(A)
+    return A
+
+
+def _on_both_routes(monkeypatch, build, A):
+    """build on a fresh copy of A with the switch at 0, where every route
+    takes arrays, and past every size here, where every route is Python.
+    The results are equal, with the same marks, and each stores true
+    facts about itself."""
+    results = []
+    for crossover in (0, 10**9):
+        with monkeypatch.context() as m:
+            m.setattr(buchi, "_ARRAY_CROSSOVER", crossover)
+            results.append(build(_fresh(A)))
+    arrays, python = results
+    assert arrays == python, format_nfa(A)
+    if isinstance(arrays, BuchiNfa):
+        marks = [(R._det, R._weak, R._sim_order) for R in results]
+        assert marks[0] == marks[1], format_nfa(A)
+        for R in results:
+            _assert_stored_facts(R)
+    return python
+
+
+def test_python_routes_match_array_routes(monkeypatch):
+    # below the switch every route runs on Python rows and masks, from it on
+    # on arrays; on the same seeded inputs, from 0 states to twice the
+    # switch in cells, each pair of routes gives the same result
+    rng = random.Random(3201)
+    limit = 2 * buchi._ARRAY_CROSSOVER
+    seen = dict.fromkeys(
+        ("shared", "no_successor", "nondet", "merged", "cut", "empty", "past_switch"), 0)
+    for i in range(240):
+        A = _route_case(rng, limit, det=i % 3 == 0)
+        n = A.state_count
+        seen["shared"] += len(A._class_rows) < A.alphabet_size
+        seen["no_successor"] += any(not any(rows[p] for rows in A._class_rows) for p in range(n))
+        seen["nondet"] += not is_deterministic(_fresh(A))
+        seen["empty"] += n == 0
+        seen["past_switch"] += buchi._on_arrays(n, len(A._class_rows))
+        R = _on_both_routes(monkeypatch, buchi._refine, A)
+        seen["merged"] += R.state_count < n
+        # with the input's determinism known, as the table route knows it,
+        # so that the read-off of a deterministic input is built from a
+        # table on both routes
+        T = _on_both_routes(monkeypatch, lambda X: buchi._trim(_marked(X)), A)
+        seen["cut"] += T.state_count < n
+        if n * n <= limit:
+            _on_both_routes(monkeypatch, lambda X: buchi._reduce(_marked(X)), A)
+        if i % 3 == 0:
+            W = _weakened(rng, A)
+            if is_deterministic(W):
+                _on_both_routes(monkeypatch, complement_flip, W)
+                _on_both_routes(monkeypatch, complement_weak, W)
+    assert min(seen.values()) >= 10, seen
+    for alphabet in range(4):
+        _on_both_routes(monkeypatch, lambda X: buchi._universal(X.alphabet_size),
+                        empty_nfa(alphabet))
+
+
+def test_python_relation_matches_array_relation(monkeypatch):
+    # the relation and its restriction have states x states cells: from 0
+    # states to twice the switch, the mask fixpoint gives the order the
+    # packed bit matrices give, and so do the two restrictions
+    rng = random.Random(3202)
+    side = math.isqrt(2 * buchi._ARRAY_CROSSOVER)
+    orders = restricted = past = 0
+    for _ in range(300):
+        A = _route_case(rng, 4 * side)
+        if is_deterministic(A) or A.state_count > side:
+            continue
+        order = _on_both_routes(monkeypatch, buchi._simulation_order, A)
+        orders += 1
+        n = A.state_count
+        past += buchi._on_arrays(n, n)
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        _on_both_routes(monkeypatch, lambda X: buchi._order_on(order, keep, n), A)
+        restricted += len(keep) < n
+        # complement_weak prunes by that order
+        W = _weakened(rng, A)
+        if W.state_count <= 8:
+            _on_both_routes(monkeypatch, complement_weak, W)
+    assert orders >= 100 and restricted >= 60 and past >= 10, (orders, restricted, past)
 
 
 # -- text formats --------------------------------------------------------------

@@ -845,3 +845,51 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("SAT\n")
+
+
+def _run_python(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh interpreter that imports the package from src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_small_commands_never_load_numpy(tmp_path):
+    # every automaton here stays below buchi._ARRAY_CROSSOVER, so no array
+    # route runs and numpy is never imported; a bare "numpy" entry in
+    # sys.modules does not tell (a lazy loader puts one there), its core does
+    (tmp_path / "a.nfa").write_text(
+        "nfa 2 2\ninitial 0\naccepting 1\ntrans 0 0 0\ntrans 0 1 1\ntrans 1 1 1\n")
+    (tmp_path / "f.s1s").write_text("ex2 Z. (X sub Z) & Z sub Y\n")
+    (tmp_path / "i.txt").write_text("X = 0|1\nY = 1|1\n")
+    script = f"""
+import contextlib, io, os, sys
+from s1sup import cli
+os.chdir({str(tmp_path)!r})
+runs = [["member", "a.nfa", "0 | 1"], ["empty", "a.nfa"], ["complement", "a.nfa", "c.nfa"],
+        ["product", "a.nfa", "c.nfa", "p.nfa"], ["empty", "p.nfa"], ["sat", "f.s1s"],
+        ["check", "f.s1s", "i.txt"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+print(codes, "numpy._core" in sys.modules)
+"""
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 1, 0, 0] False\n"
+
+
+def test_merge_compile_loads_numpy():
+    # TRIV's merge formula reaches the switch, so the array routes run
+    script = """
+import sys
+from s1sup import encodings, logic
+from s1sup.semigroup import new_semigroup
+g = new_semigroup(1, [[0]])
+A = logic.translate(*logic.reduce_full(encodings.phi_merge(g), encodings.MERGE_FIRST_ORDER,
+                                       encodings.merge_second_order(g)))
+print(A.state_count, "numpy._core" in sys.modules)
+"""
+    proc = _run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[1] == "True"

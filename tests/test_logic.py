@@ -220,10 +220,8 @@ def test_products_with_the_less_atom_take_moore_refinement(monkeypatch):
     # the atom is deterministic, so conjunctions and negations over it stay
     # deterministic and buchi._reduce never builds the simulation relation
     calls = []
-    relation = buchi._direct_simulation
-    monkeypatch.setattr(
-        buchi, "_direct_simulation", lambda A: calls.append(A) or relation(A)
-    )
+    relation = buchi._relation
+    monkeypatch.setattr(buchi, "_relation", lambda A: calls.append(A) or relation(A))
     XYZ = ("X", "Y", "Z")
     phi = Not(And(Less("X", "Y"), Not(And(Less("Y", "Z"), Incl("X", "Z")))))
     A = translate(phi, XYZ)
@@ -234,7 +232,7 @@ def test_products_with_the_less_atom_take_moore_refinement(monkeypatch):
 def test_weak_complements_of_the_lp_compile_reuse_the_relation(monkeypatch):
     # every operand of complement_weak comes out of buchi._reduce, whose last
     # _sim_reduce left the relation on it, so none is built inside
-    relation, weak = buchi._direct_simulation, buchi.complement_weak
+    relation, weak = buchi._relation, buchi.complement_weak
     operands, inside, built_inside = [], [], []
 
     def complement_weak(A):
@@ -245,13 +243,13 @@ def test_weak_complements_of_the_lp_compile_reuse_the_relation(monkeypatch):
         finally:
             inside.pop()
 
-    def direct_simulation(A):
+    def recorded_relation(A):
         if inside:
             built_inside.append(A)
         return relation(A)
 
     monkeypatch.setattr(buchi, "complement_weak", complement_weak)
-    monkeypatch.setattr(buchi, "_direct_simulation", direct_simulation)
+    monkeypatch.setattr(buchi, "_relation", recorded_relation)
     lp = new_semigroup(2, [[0, 0], [1, 1]])
     translate(*reduce_full(phi_merge(lp), MERGE_FIRST_ORDER, merge_second_order(lp)))
     # nondeterministic operands within the limit: each one was pruned; a
@@ -293,7 +291,7 @@ def test_renamed_copies_share_one_compile_and_keep_their_language(monkeypatch):
     # order, so complementing it builds no relation
     rng = random.Random(487)
     names = ("X", "Y", "Z", "W")
-    relabel, relation, weak = buchi._relabel, buchi._direct_simulation, buchi.complement_weak
+    relabel, relation, weak = buchi._relabel, buchi._relation, buchi.complement_weak
     relabelled, related, complemented, compiles = [], [], [], []
 
     def recorded_relabel(A, letters):
@@ -313,7 +311,7 @@ def test_renamed_copies_share_one_compile_and_keep_their_language(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(buchi, "_relabel", recorded_relabel)
-    monkeypatch.setattr(buchi, "_direct_simulation", recorded_relation)
+    monkeypatch.setattr(buchi, "_relation", recorded_relation)
     monkeypatch.setattr(buchi, "complement_weak", recorded_weak)
     monkeypatch.setattr(logic, "_conjoin", counted)
 
@@ -860,7 +858,7 @@ def test_merge_compiles_are_pinned():
         assert hashlib.sha256(format_nfa(aut).encode()).hexdigest() == digest, table
 
 
-# relations (buchi._direct_simulation calls) the merge compiles of TRIV, LP
+# relations (buchi._relation calls) the merge compiles of TRIV, LP
 # and Z2 build; a relation that only confirmed _reduce's result on a
 # quotient would show here, as a weaker reduction shows in TRIV_NODE_STATES
 MERGE_COMPILE_RELATIONS = {
@@ -873,7 +871,7 @@ MERGE_COMPILE_RELATIONS = {
 def test_merge_compiles_build_no_relation_on_a_relation_route_quotient(monkeypatch):
     # a quotient of _sim_reduce's relation route inherits its order, and so
     # does its trim in _reduce, so no relation is built on either
-    sim_reduce, trim, relation = buchi._sim_reduce, buchi._trim, buchi._direct_simulation
+    sim_reduce, trim, relation = buchi._sim_reduce, buchi._trim, buchi._relation
     quotients, inputs = {}, []
 
     def recorded_sim_reduce(A):
@@ -890,7 +888,7 @@ def test_merge_compiles_build_no_relation_on_a_relation_route_quotient(monkeypat
 
     monkeypatch.setattr(buchi, "_sim_reduce", recorded_sim_reduce)
     monkeypatch.setattr(buchi, "_trim", recorded_trim)
-    monkeypatch.setattr(buchi, "_direct_simulation", lambda A: inputs.append(A) or relation(A))
+    monkeypatch.setattr(buchi, "_relation", lambda A: inputs.append(A) or relation(A))
     for (size, table), count in MERGE_COMPILE_RELATIONS.items():
         inputs.clear()
         g = new_semigroup(size, table)
@@ -904,7 +902,7 @@ def test_merge_compiles_reduce_in_one_pass(monkeypatch):
     # each _reduce runs _sim_reduce once, and no _refine runs on an
     # automaton a _refine returned: a quotient by bisimilarity is its own
     reduce_, sim_reduce, refine, relation = (
-        buchi._reduce, buchi._sim_reduce, buchi._refine, buchi._direct_simulation)
+        buchi._reduce, buchi._sim_reduce, buchi._refine, buchi._relation)
     counts = dict.fromkeys(("reduce", "sim_reduce", "relation"), 0)
     refined, confirmed = {}, []
 
@@ -924,7 +922,7 @@ def test_merge_compiles_reduce_in_one_pass(monkeypatch):
     monkeypatch.setattr(buchi, "_reduce", counted("reduce", reduce_))
     monkeypatch.setattr(buchi, "_sim_reduce", counted("sim_reduce", sim_reduce))
     monkeypatch.setattr(buchi, "_refine", recorded_refine)
-    monkeypatch.setattr(buchi, "_direct_simulation", counted("relation", relation))
+    monkeypatch.setattr(buchi, "_relation", counted("relation", relation))
     for (size, table), relations in MERGE_COMPILE_RELATIONS.items():
         counts.update(dict.fromkeys(counts, 0))
         g = new_semigroup(size, table)
