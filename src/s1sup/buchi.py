@@ -6,8 +6,10 @@ it.  Transition tables are stored once per letter class, where two letters
 belong to the same class when they act identically on every state.  Derived
 alphabets (sets of logic variables) are exponentially large but have few
 classes, so most operations iterate over classes instead of letters.
-numpy is imported on first use, by the array routes that large automata
-take (_ARRAY_CROSSOVER); smaller ones stay on Python rows.
+numpy is imported on first use, by the array routes (_ARRAY_CROSSOVER),
+which run on two structures only: the successor table of a large
+deterministic automaton and a large simulation relation.  Smaller
+automata, and nondeterministic ones at every size, stay on Python rows.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class BuchiNfa:
     occurrence, and every construction stores each row strictly
     increasing, which makes the representation canonical: two automata are
     equal exactly when they have the same states, alphabet, transition set,
-    initial set and accepting set.
+    initial set and accepting set.  A deterministic automaton may keep its
+    successor table (_successor_table) beside its rows; a nondeterministic
+    one never holds a table, so a kept table is exact.
     """
 
     __slots__ = (
@@ -173,18 +177,6 @@ class BuchiNfa:
             and self.accepting == other.accepting
             and self._letter_class == other._letter_class
             and self._class_rows == other._class_rows
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.state_count,
-                self.alphabet_size,
-                self.initial,
-                self.accepting,
-                self._letter_class,
-                self._class_rows,
-            )
         )
 
     def __repr__(self):
@@ -501,23 +493,26 @@ def union(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
 # From this many cells on, the array routes run, and below it the Python
 # routes, which need no numpy: a run whose automata all stay below it never
 # imports numpy.  A table of an automaton has states x classes cells, and
-# _on_arrays states every switch: _refine, _read_off, the trim of a
-# deterministic automaton (_kept_on_table), complement_flip, the columns
-# _from_table keeps as a table, and the deterministic product, potential
-# pairs nA * nB x classes of letter pairs.  A relation (_relation,
-# _order_on) has states x states cells.  The array routes pay a fixed cost
-# in numpy calls, the Python routes per cell.  Each recorded call of one
-# merge-compile and one cli-requests pass at seed 1, best of 5 on 2 shared
-# cores, Python against arrays, medians in us per cell range: _refine
-# 64-255 46 and 44, 256-511 63 and 45, 512-1023 190 and 99; the relation
-# 256-511 509 and 895, 512-1023 570 and 732, 1024-4095 1,611 and 1,221;
-# _read_off 256-511 50 and 67, 512-1023 70 and 57; the trim 256-511 66 and
-# 69, 512-1023 93 and 88; the product 256-511 160 and 238, 512-1023 473 and
-# 324.  Below 64 cells (1,129 to 2,557 calls per route) the Python routes
-# take 3-16 us, the array routes 9-143.  The sum over all recorded calls
-# is 218.3 ms with the switch at 256, 215.4 at 512 and 768, 217.0 at
-# 1,024, against 213.9 with the faster route per call.  No cli-requests
-# call reaches 512 cells (at most 168, in a product).
+# _on_arrays states every switch: _refine and _read_off of a deterministic
+# automaton (a nondeterministic one stays on Python rows at every size),
+# its trim (_kept_on_table), complement_flip, the columns _from_table keeps
+# as a table, and the deterministic product, potential pairs nA * nB x
+# classes of letter pairs.  A relation (_relation, _order_on) has states x
+# states cells.  The array routes pay a fixed cost in numpy calls, the
+# Python routes per cell.  Each recorded call of one merge-compile and one
+# cli-requests pass at seed 1, best of 5 on 2 shared cores, Python against
+# arrays, medians in us per cell range: _refine of deterministic inputs
+# 64-255 69 and 60, 256-511 112 and 52, 512-1023 228 and 97, and their
+# _read_off 256-511 52 and 73, 512-1023 89 and 71 (the middle of three
+# runs); the relation 256-511 509 and 895, 512-1023 570 and 732, 1024-4095
+# 1,611 and 1,221; the trim 256-511 66 and 69, 512-1023 93 and 88; the
+# product 256-511 160 and 238, 512-1023 473 and 324.  Below 64 cells
+# (1,129 to 2,557 calls per route) the Python routes take 3-16 us, the
+# array routes 9-143.  The sum over all recorded calls, measured when
+# nondeterministic automata took arrays too, is 218.3 ms with the switch
+# at 256, 215.4 at 512 and 768, 217.0 at 1,024, against 213.9 with the
+# faster route per call.  No cli-requests call reaches 512 cells (at most
+# 168, in a product).
 _ARRAY_CROSSOVER = 512
 
 
@@ -1275,10 +1270,12 @@ def _direct_simulation(A: BuchiNfa) -> np.ndarray:
 
 
 def _successor_table(A: BuchiNfa) -> np.ndarray:
-    """A's first successor per state and letter class, state_count for
-    none, as an array (states, classes), built once and kept on A unless
-    _from_table kept its own or _relabel carried A's source's; no caller
-    writes to it."""
+    """The successor table of a deterministic A: its one successor per
+    state and letter class, state_count for none, as an array (states,
+    classes), built once and kept on A unless _from_table kept its own or
+    _relabel carried A's source's; no caller writes to it.  Every caller
+    asks it of an A known deterministic, so only deterministic automata
+    hold a table, and the table is exact: it is A's transitions."""
     if A._table is None:
         import numpy as np
 
@@ -1322,45 +1319,38 @@ def _from_table(n: int, table, alphabet_size: int, letter_class: Sequence[int],
 def _read_off(A: BuchiNfa, number: list[int], first: list[int]) -> BuchiNfa:
     """The automaton whose state i is A's state first[i] renamed by number:
     the one rebuild of _trim and _refine.  number[p] is p's new state, -1
-    when p is dropped, and number[n] is -1 for a missing successor.  A row
-    of at most one successor is that successor renamed, and a row of two
-    or more the sorted set of its kept successors' states.  For an A known
-    deterministic, the renamed first successors are the result's table
-    (_from_table).  The initial and accepting states are A's kept ones.
-    From the switch on (_on_arrays), the first successors are
-    _successor_table(A) gathered through number, and only rows of two or
-    more successors are rebuilt in Python; below it, every row is.
+    when p is dropped, and number[n] is -1 for a missing successor.  For
+    an A known deterministic, the renamed successors are the result's
+    table (_from_table): from the switch on (_on_arrays), _successor_table(A)
+    gathered through number, below it Python columns.  A nondeterministic
+    A is rebuilt on Python rows at every size: a row of at most one
+    successor is that successor renamed, and a row of two or more the
+    sorted set of its kept successors' states.  So no nondeterministic
+    automaton gets a table here.  The initial and accepting states are A's
+    kept ones.
     """
     m, n = len(first), A.state_count
     initial = [number[s] for s in A.initial if number[s] >= 0]
     accepting = [number[s] for s in A.accepting if number[s] >= 0]
-    single = [(b,) for b in range(m)] + [()]
-    if _on_arrays(n, len(A._class_rows)):
-        import numpy as np
+    if A._det:
+        if _on_arrays(n, len(A._class_rows)):
+            import numpy as np
 
-        table = np.array(number)[_successor_table(A)[first]]
-        if A._det:
+            table = np.array(number)[_successor_table(A)[first]]
             table[table < 0] = m
-            return _from_table(m, table, A.alphabet_size, A._letter_class, initial, accepting)
-        rows = [list(map(single.__getitem__, col)) for col in table.T.tolist()]
-        for old, row in zip(A._class_rows, rows):
-            for i, p in enumerate(first):
-                if len(old[p]) > 1:
-                    row[i] = tuple(sorted({number[q] for q in old[p]} - {-1}))
-    elif A._det:
-        none = (n,)
-        to = [m if b < 0 else b for b in number]
-        table = [[to[(rows[p] or none)[0]] for p in first] for rows in A._class_rows]
+        else:
+            none = (n,)
+            to = [m if b < 0 else b for b in number]
+            table = [[to[(rows[p] or none)[0]] for p in first] for rows in A._class_rows]
         return _from_table(m, table, A.alphabet_size, A._letter_class, initial, accepting)
-    else:
-        rows = [
-            [single[number[row[0]]] if len(row) == 1
-             else tuple(sorted({number[q] for q in row} - {-1})) if row else ()
-             for row in map(rows.__getitem__, first)]
-            for rows in A._class_rows
-        ]
-    return BuchiNfa._make(m, A.alphabet_size, A._letter_class, list(map(tuple, rows)),
-                          initial, accepting)
+    single = [(b,) for b in range(m)] + [()]
+    rows = [
+        tuple([single[number[row[0]]] if len(row) == 1
+               else tuple(sorted({number[q] for q in row} - {-1})) if row else ()
+               for row in map(rows.__getitem__, first)])
+        for rows in A._class_rows
+    ]
+    return BuchiNfa._make(m, A.alphabet_size, A._letter_class, rows, initial, accepting)
 
 
 def _refine(A: BuchiNfa) -> BuchiNfa:
@@ -1371,19 +1361,21 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
     the set of successor blocks: -1 if empty, the block if one, else a
     set) by first occurrence in state order, until no block splits.  Only
     states with several successors on a class have such sets, so a
-    deterministic A pays Moore's cost.  From the switch on (_on_arrays)
-    the rounds run on arrays (_blocks_on_arrays); below it, rows are
-    tuples numbered by a dictionary.  The quotient is read off each
-    block's first member (_read_off); it is A itself when no two states
-    merge.  The quotient of a weak A is marked weak: bisimilar states step
-    into the same blocks, so a cycle of blocks lifts, from each member of
-    its first block, to a path of A back into that block; chained, such
-    paths close a cycle of A through all its blocks, which share their
-    acceptance with that cycle's component.
+    deterministic A pays Moore's cost.  A deterministic A from the switch
+    on (_on_arrays) runs its rounds on its successor table (_moore_on_table);
+    every other A, a nondeterministic one at every size, on Python rows,
+    tuples numbered by a dictionary, so no nondeterministic automaton gets
+    a table here.  The quotient is read off each block's first member
+    (_read_off); it is A itself when no two states merge.  The quotient of
+    a weak A is marked weak: bisimilar states step into the same blocks,
+    so a cycle of blocks lifts, from each member of its first block, to a
+    path of A back into that block; chained, such paths close a cycle of A
+    through all its blocks, which share their acceptance with that cycle's
+    component.
     """
     n = A.state_count
-    if _on_arrays(n, len(A._class_rows)):
-        block = _blocks_on_arrays(A)
+    if _on_arrays(n, len(A._class_rows)) and is_deterministic(A):
+        block = _moore_on_table(A)
     else:
         several = [] if is_deterministic(A) else [
             (c, p, row) for c, rows in enumerate(A._class_rows)
@@ -1416,23 +1408,15 @@ def _refine(A: BuchiNfa) -> BuchiNfa:
     return out
 
 
-def _blocks_on_arrays(A: BuchiNfa) -> list[int]:
-    """_refine's rounds on arrays, returning the final block of each state
-    and -1 for a missing successor.  A row is the bytes of its entries,
-    and a set of two or more blocks an id past n, interned by its bytes."""
+def _moore_on_table(A: BuchiNfa) -> list[int]:
+    """_refine's rounds on the successor table of a deterministic A
+    (Moore's refinement), returning the final block of each state and -1
+    for a missing successor.  A row is the bytes of its block and its
+    successors' blocks, numbered by a dictionary."""
     import numpy as np
 
     n = A.state_count
     succ = _successor_table(A)
-    # (state, 1 + class, list) per list of two or more successors
-    several = [] if is_deterministic(A) else [
-        (p, 1 + c, row) for c, rows in enumerate(A._class_rows)
-        for p, row in enumerate(rows) if len(row) > 1
-    ]
-    if several:
-        at, column, lists = zip(*several)
-        members = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64)
-        owner = np.repeat(np.arange(len(lists)), list(map(len, lists)))
     # block[n] is the block of a missing successor, -1 in every round
     block = np.zeros(n + 1, dtype=np.int64)
     block[n] = -1
@@ -1443,18 +1427,6 @@ def _blocks_on_arrays(A: BuchiNfa) -> list[int]:
     while True:
         table[:, 0] = block[:n]
         table[:, 1:] = block[succ]
-        if several:
-            # sorted (list, block) pairs; a set of two or more blocks gets an
-            # id past n, interned by the bytes of its blocks
-            of, blocks = np.divmod(np.unique(owner * n + block[members]), n)
-            width = np.bincount(of, minlength=len(lists))
-            end = np.cumsum(width)
-            code = blocks[end - width]
-            wide = np.flatnonzero(width > 1)
-            raw, sets = blocks.tobytes(), {}
-            code[wide] = [n + sets.setdefault(raw[8 * s:8 * e], len(sets))
-                          for s, e in zip((end - width)[wide].tolist(), end[wide].tolist())]
-            table[at, column] = code
         rows, ids = table.tobytes(), {}
         block[:n] = [ids.setdefault(rows[i:i + stride], len(ids))
                      for i in range(0, len(rows), stride)]

@@ -1586,13 +1586,15 @@ def _fresh(A):
 def _assert_stored_facts(R):
     """What R keeps about itself is what a fresh copy computes: its
     weakness, its determinism, its successor table and its simulation
-    order.  Each class row is stored strictly increasing."""
+    order.  Only a deterministic automaton keeps a table.  Each class row
+    is stored strictly increasing."""
     F = _fresh(R)
     assert F == R
     assert all(list(row) == sorted(set(row)) for rows in R._class_rows for row in rows)
     for stored, computed in ((R._weak, is_weak), (R._det, is_deterministic)):
         assert stored is None or stored is computed(F), format_nfa(R)
     if R._table is not None:
+        assert is_deterministic(F), format_nfa(R)
         assert R._table.shape == (R.state_count, len(R._class_rows))
         assert (R._table == buchi._successor_table(F)).all(), format_nfa(R)
     if R._sim_order is not None:
@@ -1650,14 +1652,16 @@ def _large_case(rng, i):
 
 def test_array_trim_and_refine_match_naive_oracles(monkeypatch):
     # from _ARRAY_CROSSOVER cells on, a deterministic automaton is trimmed
-    # on its successor table, and the rows of every automaton are numbered
-    # on arrays; both routes must give the oracles' automata, and every
-    # result must store true facts about itself.  The switch is lowered to
-    # 64 cells, so that every case of 64 states or more is on arrays
+    # and refined on its successor table, and a nondeterministic one, the
+    # _twinned cases, on Python rows, so its results hold no table; both
+    # routes must give the oracles' automata, and every result must store
+    # true facts about itself.  The switch is lowered to 64 cells, so that
+    # every case of 64 states or more is past it
     monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", 64)
     rng = random.Random(445)
     seen = dict.fromkeys(
-        ("cut", "kept", "emptied", "not_weak", "table_kept", "merged", "not_merged"), 0
+        ("cut", "kept", "emptied", "not_weak", "table_kept", "merged", "not_merged",
+         "nondet"), 0
     )
     for i in range(140):
         A = _large_case(rng, i)
@@ -1669,15 +1673,19 @@ def test_array_trim_and_refine_match_naive_oracles(monkeypatch):
         _assert_stored_facts(T)
         seen["kept" if T is A else "cut" if T.state_count else "emptied"] += 1
         seen["table_kept"] += T is not A and T._table is not None
-        if i % 5:
-            continue
-        R = buchi._refine(A)
-        assert R == naive_bisim_quotient(A), format_nfa(A)
-        assert (R is A) == (R.state_count == A.state_count)
-        _assert_stored_facts(R)
-        seen["merged" if R is not A else "not_merged"] += 1
+        results = [A, T]
+        if i % 5 == 0:
+            R = buchi._refine(A)
+            assert R == naive_bisim_quotient(A), format_nfa(A)
+            assert (R is A) == (R.state_count == A.state_count)
+            _assert_stored_facts(R)
+            seen["merged" if R is not A else "not_merged"] += 1
+            results.append(R)
+        if not is_deterministic(A):
+            assert all(X._table is None for X in results), format_nfa(A)
+            seen["nondet"] += 1
     assert min(seen[k] for k in ("cut", "kept", "emptied", "not_weak", "table_kept")) >= 30, seen
-    assert min(seen["merged"], seen["not_merged"]) >= 5, seen
+    assert min(seen["merged"], seen["not_merged"]) >= 5 and seen["nondet"] >= 30, seen
 
 
 def test_products_and_complements_store_true_facts(monkeypatch):
@@ -1801,6 +1809,12 @@ def test_table_handover_guard_on_edge_cases(monkeypatch):
     R = buchi._from_table(2, table, 2, [0, 1], [0], [1])
     assert R._table is table
     _assert_stored_facts(R)
+    # a relabel whose letters change the classes' first-letter order
+    # carries the table with its columns reordered
+    L = buchi._relabel(R, [1, 0, 1])
+    assert L._class_first_letter == (0, 1) and L._table is not None
+    assert L == buchi._relabel(_fresh(R), [1, 0, 1])
+    _assert_stored_facts(L)
     # columns as Python lists give a table from the switch on only
     for crossover in (4, 5):
         with monkeypatch.context() as m:
@@ -1893,7 +1907,9 @@ def _on_both_routes(monkeypatch, build, A):
 def test_python_routes_match_array_routes(monkeypatch):
     # below the switch every route runs on Python rows and masks, from it on
     # on arrays; on the same seeded inputs, from 0 states to twice the
-    # switch in cells, each pair of routes gives the same result
+    # switch in cells, each pair of routes gives the same result.  _refine
+    # and _read_off take arrays for deterministic inputs only, so on the
+    # nondet cases their two runs compare the Python route with itself
     rng = random.Random(3201)
     limit = 2 * buchi._ARRAY_CROSSOVER
     seen = dict.fromkeys(

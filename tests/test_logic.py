@@ -868,6 +868,23 @@ MERGE_COMPILE_RELATIONS = {
 }
 
 
+def test_merge_compiles_are_the_same_on_either_route(monkeypatch):
+    # with the switch at 0 every route that has arrays takes them, and past
+    # every size here none does; both compile TRIV, LP and Z2 to the pinned
+    # automata, building the same number of relations
+    relation, related = buchi._relation, []
+    monkeypatch.setattr(buchi, "_relation", lambda A: related.append(A) or relation(A))
+    for crossover in (0, 10**9):
+        monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", crossover)
+        for (size, table), digest in MERGE_COMPILE_SHA256.items():
+            related.clear()
+            g = new_semigroup(size, table)
+            aut = translate(*reduce_full(phi_merge(g), MERGE_FIRST_ORDER, merge_second_order(g)))
+            case = (crossover, table)
+            assert hashlib.sha256(format_nfa(aut).encode()).hexdigest() == digest, case
+            assert len(related) == MERGE_COMPILE_RELATIONS[size, table], case
+
+
 def test_merge_compiles_build_no_relation_on_a_relation_route_quotient(monkeypatch):
     # a quotient of _sim_reduce's relation route inherits its order, and so
     # does its trim in _reduce, so no relation is built on either
