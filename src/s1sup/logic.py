@@ -9,8 +9,9 @@ the minimal syntax by encoding positions as singleton sets.
 
 Formulas are compiled to Buchi automata over the alphabet of variable
 bitmasks; one letter fixes the membership bit of every variable at one
-position.  Satisfiability, model checking and witness extraction all go
-through that compilation.
+position.  Satisfiability and witness extraction go through that
+compilation; model checking compiles only the atoms and the outermost
+quantifiers, and evaluates the Boolean skeleton above them.
 """
 
 from __future__ import annotations
@@ -240,13 +241,15 @@ def _fold(phi, sort: str | None, combine):
     return values[id(phi)]
 
 
-def free_min(phi: MinFormula) -> frozenset[str]:
-    def step(node, names, args):
-        if isinstance(node, Ex2):
-            return args[0] - {node.var}
-        return frozenset(names).union(*args)
+def _free_names(node, names, args) -> frozenset[str]:
+    # free_min's fold step
+    if isinstance(node, Ex2):
+        return args[0] - {node.var}
+    return frozenset(names).union(*args)
 
-    return _fold(phi, "minimal", step)
+
+def free_min(phi: MinFormula) -> frozenset[str]:
+    return _fold(phi, "minimal", _free_names)
 
 
 def free_full(phi: FullFormula) -> tuple[frozenset[str], frozenset[str]]:
@@ -481,10 +484,10 @@ def translate(
     The work is _compile's, over the formula's support, the bits of its
     free variables; the result is that automaton lifted to every declared
     variable, which keeps its states, transitions and class numbering.
-    sat_min and models_up read the automaton over the support and never
-    build this lift.  When stats is a list, one (node, state count) entry
-    is appended per node object in postorder, a node shared by several
-    parents listed once, the count being that of the node's shape.
+    sat_min, models_up and ex2_witness read automata over supports and
+    never build this lift.  When stats is a list, one (node, state count)
+    entry is appended per node object in postorder, a node shared by
+    several parents listed once, the count being that of the node's shape.
     """
     A, names = _compile(phi, variables, max_colors, stats)
     bit = SetAlphabet(tuple(variables)).bit
@@ -638,15 +641,50 @@ def models_up(
     variables: Sequence[str],
     max_colors: int = DEFAULT_MAX_COLORS,
 ) -> bool:
-    """Does the interpretation satisfy the formula?  Decided on the
-    automaton over the formula's support (_compile)."""
-    missing = sorted(free_min(phi) - set(interp.sets))
+    """Does the interpretation satisfy the formula?  Satisfaction on UP
+    words obeys excluded middle (Not(f) holds exactly when f fails, And(f,
+    g) when both hold), so only atoms (_compile) and outermost Ex2 nodes
+    (_ex2_over) are compiled, and And skips its right operand when its left
+    one fails.  Verdicts are kept by node id, so a shared node is decided
+    once.  Every name, bound ones too, is checked first, skipped or not."""
+    alpha = SetAlphabet(tuple(variables))
+
+    def free(node, names, args):
+        for name in names:
+            alpha.bit(name)
+        return _free_names(node, names, args)
+
+    missing = sorted(_fold(phi, "minimal", free) - set(interp.sets))
     if missing:
         raise UnassignedVariable(missing)
     if interp.nums:
         raise ValueError("minimal formulas take set assignments only")
-    A, names = _compile(phi, variables, max_colors)
-    return buchi.membership_up(A, _pack(interp, variables, names))
+    verdicts: dict[int, bool] = {}
+    # a path from phi down to the node being decided
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, Not):
+            sub = verdicts.get(id(node.sub))
+            if sub is None:
+                stack.append(node.sub)
+                continue
+            verdict = not sub
+        elif isinstance(node, And):
+            left, right = verdicts.get(id(node.left)), verdicts.get(id(node.right))
+            if left is None or left and right is None:
+                stack.append(node.left if left is None else node.right)
+                continue
+            verdict = left and right
+        elif isinstance(node, Ex2):
+            *_, proj, word = _ex2_over(node, interp, variables, max_colors)
+            verdict = buchi.membership_up(proj, word)
+        else:
+            A, names = _compile(node, variables, max_colors)
+            verdict = buchi.membership_up(A, _pack(interp, variables, names))
+        verdicts[id(node)] = verdict
+        stack.pop()
+    return verdicts[id(phi)]
 
 
 def models_up_direct(interp: UpInterpretation, phi: MinFormula) -> bool:
@@ -691,6 +729,17 @@ def sat_min(
     return None if m is None else upword_to_interp(m.word(), names)
 
 
+def _ex2_over(phi: Ex2, interp: UpInterpretation, variables: Sequence[str], max_colors: int):
+    """Ex2(X, body) on interp: the body's automaton over its support
+    (_compile), the support, X's bit there (0 when the body does not read
+    X), the projection dropping that bit, unreduced as reducing never
+    changes the language, and interp packed for the projection."""
+    body, names = _compile(phi.sub, variables, max_colors)
+    bit = 1 << names.index(phi.var) if phi.var in names else 0
+    proj = buchi.ex_project(body, bit) if bit else body
+    return body, names, bit, proj, _pack(interp, variables, [n for n in names if n != phi.var])
+
+
 def ex2_witness(
     phi: Ex2,
     interp: UpInterpretation,
@@ -700,8 +749,8 @@ def ex2_witness(
     the body and differs from interp only on X.  None when interp does not
     satisfy the quantified formula.
 
-    The body is compiled over its support (_compile) and projected by
-    dropping X's bit, when the body reads X.  The match over the
+    The body is compiled over its support and projected by dropping X's
+    bit, when the body reads X (_ex2_over).  The match over the
     projection is relabeled step by step back to letters the body
     automaton allows, X's bit 0 tried first; the projection only ever
     touched X's bit, so the relabeled word agrees with interp everywhere
@@ -709,10 +758,8 @@ def ex2_witness(
     """
     if not isinstance(phi, Ex2):
         raise TypeError("ex2_witness needs a quantified formula")
-    body_aut, names = _compile(phi.sub, variables, DEFAULT_MAX_COLORS)
-    bit = 1 << names.index(phi.var) if phi.var in names else 0
-    proj = buchi.ex_project(body_aut, bit) if bit else body_aut
-    m = buchi.match_for_up(proj, _pack(interp, variables, [n for n in names if n != phi.var]))
+    body_aut, names, bit, proj, packed = _ex2_over(phi, interp, variables, DEFAULT_MAX_COLORS)
+    m = buchi.match_for_up(proj, packed)
     if m is None:
         return None
 

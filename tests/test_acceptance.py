@@ -30,6 +30,7 @@ from s1sup.encodings import (
 )
 from s1sup.logic import (
     encode_interp,
+    interp_to_upword,
     models_full_up,
     models_up,
     models_up_direct,
@@ -224,7 +225,12 @@ def test_06_translation_matches_direct_evaluation():
     for _ in range(quantifier_free):
         phi = random_min_formula(rng, XY, rng.randint(0, 4), quantifiers=0)
         interp = random_min_interp(rng, XY)
-        if models_up(interp, phi, XY) != models_up_direct(interp, phi):
+        direct = models_up_direct(interp, phi)
+        # model checking compiles only atoms, so the whole formula's
+        # translation is compared on its own
+        if models_up(interp, phi, XY) != direct:
+            bad += 1
+        if membership_up(translate(phi, XY), interp_to_upword(interp, XY)) != direct:
             bad += 1
 
     quantified = 100
@@ -249,7 +255,7 @@ def test_06_translation_matches_direct_evaluation():
         6,
         "translation",
         ok,
-        f"{quantifier_free} quantifier-free + {quantified} quantified "
+        f"{quantifier_free} quantifier-free (checked and translated) + {quantified} quantified "
         f"({sat_count} sat, {unsat_count} unsat x {probes} probes), {bad} failures",
     )
     assert ok

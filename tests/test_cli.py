@@ -396,6 +396,28 @@ class TestSat:
         )
         assert run_cli(capsys, "sat", f)[0] == 0
 
+    # the formula above under a quantifier that check compiles, behind a
+    # left operand x < y that check decides first
+    BEHIND_BUDGET = (
+        "x < y & (ex2 W. !(ex2 Z. (!(ex1 x. !(ex1 y. x < y & y in Z)))"
+        " & !(ex1 z. z in Z & !(z in X))))\n"
+    )
+
+    def test_check_skips_an_over_budget_operand(self, capsys, tmp_path):
+        f = write(tmp_path, "f.s1s", self.BEHIND_BUDGET)
+        i = write(tmp_path, "i.interp", "X = 0 | 0\nx = 1\ny = 0\n")
+        assert run_cli(capsys, "check", f, i, "--max-colors", "2") == (1, "NONMEMBER\n", "")
+
+    def test_check_of_an_over_budget_operand_exits_two(self, capsys, tmp_path):
+        f = write(tmp_path, "f.s1s", self.BEHIND_BUDGET)
+        i = write(tmp_path, "i.interp", "X = 0 | 0\nx = 0\ny = 1\n")
+        assert run_cli(capsys, "check", f, i, "--max-colors", "2") == (
+            2,
+            "",
+            "error: more than 2 realizable colors\n",
+        )
+        assert run_cli(capsys, "check", f, i) == (0, "MEMBER\n", "")
+
 
 # far deeper than the interpreter's recursion limit
 DEPTH_INPUTS = {

@@ -703,6 +703,74 @@ def test_models_full_unassigned():
         models_full_up(UpInterpretation(), FoLess("x", "y"), FO, ())
 
 
+def test_skipped_operands_still_have_their_names_checked():
+    # each left operand fails, so check never compiles the right one; an
+    # undeclared name there, bound Z or z, is an error all the same
+    interp = UpInterpretation(sets={"X": bits("1", "0"), "Y": bits("0", "0")})
+    assert not models_up(interp, And(Incl("X", "Y"), Incl("X", "X")), XY)
+    with pytest.raises(UnknownVariable):
+        models_up(interp, And(Incl("X", "Y"), Ex2("Z", Incl("Z", "X"))), XY)
+    full = UpInterpretation(nums={"x": 1, "y": 0})
+    assert not models_full_up(full, FoAnd(FoLess("x", "y"), FoLess("y", "x")), FO, ())
+    with pytest.raises(UnknownVariable):
+        models_full_up(full, FoAnd(FoLess("x", "y"), FoEx1("z", FoLess("z", "x"))), FO, ())
+
+
+def _skipped_ands(phi, variables, word) -> int:
+    # the Ands on models_up's walk of phi's Boolean skeleton whose left
+    # operand fails on word, by the whole-formula route, so that their
+    # right operand is skipped
+    count, stack = 0, [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Not):
+            stack.append(node.sub)
+        elif isinstance(node, And):
+            stack.append(node.left)
+            if membership_up(translate(node.left, variables), word):
+                stack.append(node.right)
+            else:
+                count += 1
+    return count
+
+
+def _has_shared_node(phi) -> bool:
+    objects = []
+    paths = logic._fold(phi, None, lambda node, _, args: objects.append(node) or 1 + sum(args))
+    return paths > len(objects)
+
+
+def test_models_up_equals_the_whole_formula_route():
+    # check evaluates the Boolean skeleton and compiles atoms and outermost
+    # quantifiers only; its verdict must be membership in translate's
+    # automaton of the whole formula.  Minimal formulas with up to two
+    # quantifiers, some put under a negated quantifier at the top or
+    # sharing a node object between two parents, and full formulas
+    # through reduce_full
+    rng = random.Random(3501)
+    names = ("X", "Y", "Z")
+    cases = []
+    for _ in range(120):
+        a, b = (random_min_formula(rng, names, rng.randint(0, 3), rng.randint(0, 2)) for _ in "ab")
+        phi = rng.choice([a, And(a, b), Not(Ex2(rng.choice(names), a)), And(Not(a), Not(And(b, a)))])
+        cases.append((phi, names, [random_min_interp(rng, names) for _ in range(3)]))
+    for _ in range(40):
+        phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
+        reduced, variables = reduce_full(phi, FO, SO)
+        interps = [encode_interp(random_full_interp(rng, FO, SO)) for _ in range(3)]
+        cases.append((reduced, variables, interps))
+    skipped = negated_quantifiers = shared = 0
+    for phi, variables, interps in cases:
+        A = translate(phi, variables)
+        negated_quantifiers += isinstance(phi, Not) and isinstance(phi.sub, Ex2)
+        shared += _has_shared_node(phi)
+        for interp in interps:
+            word = interp_to_upword(interp, variables)
+            assert models_up(interp, phi, variables) == membership_up(A, word), phi
+            skipped += _skipped_ands(phi, variables, word)
+    assert skipped >= 100 and negated_quantifiers >= 20 and shared >= 20, (skipped, negated_quantifiers, shared)
+
+
 def test_models_full_quantifier_free_matches_naive():
     rng = random.Random(469)
     for _ in range(150):
