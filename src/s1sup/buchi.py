@@ -451,6 +451,15 @@ def exact_up_nfa(sigma: UpWord, alphabet_size: int) -> BuchiNfa:
     )
 
 
+def _joint_classes(parts: Sequence[BuchiNfa]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Per letter, the class of its tuple of the parts' letter classes,
+    numbered by first letter, and per class that tuple."""
+    combo_id: dict[tuple[int, ...], int] = {}
+    letter_class = [combo_id.setdefault(combo, len(combo_id))
+                    for combo in zip(*(part._letter_class for part in parts))]
+    return letter_class, list(combo_id)
+
+
 def _union_many(parts: Sequence[BuchiNfa], alphabet_size: int) -> BuchiNfa:
     for part in parts:
         if part.alphabet_size != alphabet_size:
@@ -462,13 +471,9 @@ def _union_many(parts: Sequence[BuchiNfa], alphabet_size: int) -> BuchiNfa:
     for part in parts:
         offsets.append(total)
         total += part.state_count
-    combo_id: dict[tuple[int, ...], int] = {}
-    letter_class = [
-        combo_id.setdefault(combo, len(combo_id))
-        for combo in zip(*(part._letter_class for part in parts))
-    ]
+    letter_class, combos = _joint_classes(parts)
     class_rows = []
-    for combo in combo_id:
+    for combo in combos:
         rows: list[tuple[int, ...]] = []
         for part, off, pc in zip(parts, offsets, combo):
             if off == 0:
@@ -547,19 +552,15 @@ def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> BuchiNfa:
         )
     nA, nB = A.state_count, B.state_count
     size = nA * nB
-    combo_id: dict[tuple[int, int], int] = {}
-    letter_class = [
-        combo_id.setdefault(combo, len(combo_id))
-        for combo in zip(A._letter_class, B._letter_class)
-    ]
+    letter_class, pairs = _joint_classes((A, B))
     if (
         not flagged
-        and _on_arrays(size, len(combo_id))
+        and _on_arrays(size, len(pairs))
         and is_deterministic(A)
         and is_deterministic(B)
     ):
-        return _deterministic_product(A, B)
-    combos = [(A._class_rows[ca], B._class_rows[cb]) for ca, cb in combo_id]
+        return _deterministic_product(A, B, letter_class, pairs)
+    combos = [(A._class_rows[ca], B._class_rows[cb]) for ca, cb in pairs]
     acc_a, acc_b = A.accepting, B.accepting
     start = [p * nB + q for p in sorted(A.initial) for q in sorted(B.initial)]
     succ: dict[int, list[tuple[int, ...]] | None] = dict.fromkeys(start)
@@ -600,11 +601,12 @@ def _product(A: BuchiNfa, B: BuchiNfa, flagged: bool) -> BuchiNfa:
     return out
 
 
-def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
+def _deterministic_product(A: BuchiNfa, B: BuchiNfa, letter_class: Sequence[int],
+                           pairs: Sequence[tuple[int, int]]) -> BuchiNfa:
     """_product(A, B, False) of deterministic A and B, on arrays.
 
-    The classes of letter pairs are numbered by first letter, as in the
-    pair loop; _make merges pairs whose columns are equal.  A BFS from
+    letter_class and pairs number the letter pairs as the pair loop does
+    (_joint_classes); _make merges pairs whose columns are equal.  A BFS from
     the initial pair expands one whole layer at a time through the two
     successor tables (_successor_table), and the pairs seen are held
     in arrays that grow with the reachable pairs, never with nA * nB: in
@@ -617,17 +619,12 @@ def _deterministic_product(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
     import numpy as np
 
     nA, nB = A.state_count, B.state_count
-    combo_id: dict[tuple[int, int], int] = {}
-    letter_class = [
-        combo_id.setdefault(combo, len(combo_id))
-        for combo in zip(A._letter_class, B._letter_class)
-    ]
-    ca, cb = [a for a, _ in combo_id], [b for _, b in combo_id]
+    ca, cb = [a for a, _ in pairs], [b for _, b in pairs]
     succ_a, succ_b = _successor_table(A)[:, ca], _successor_table(B)[:, cb]
     start = [p * nB + q for p in A.initial for q in B.initial]
     frontier = seen = known = np.array(start, dtype=np.int64)
     # per layer, the successor codes of its pairs, -1 for none
-    layers = [np.empty((0, len(combo_id)), dtype=np.int64)]
+    layers = [np.empty((0, len(pairs)), dtype=np.int64)]
     while frontier.size:
         p, q = np.divmod(frontier, nB)
         ta, tb = succ_a[p], succ_b[q]
@@ -1320,8 +1317,10 @@ def _read_off(A: BuchiNfa, number: list[int], first: list[int]) -> BuchiNfa:
     """The automaton whose state i is A's state first[i] renamed by number:
     the one rebuild of _trim and _refine.  number[p] is p's new state, -1
     when p is dropped, and number[n] is -1 for a missing successor.  For
-    an A known deterministic, the renamed successors are the result's
-    table (_from_table): from the switch on (_on_arrays), _successor_table(A)
+    a deterministic A (is_deterministic, asked here, as _trim's Python
+    route has not asked it), the renamed successors are the result's
+    table (_from_table), so the result is marked deterministic on both of
+    _trim's routes: from the switch on (_on_arrays), _successor_table(A)
     gathered through number, below it Python columns.  A nondeterministic
     A is rebuilt on Python rows at every size: a row of at most one
     successor is that successor renamed, and a row of two or more the
@@ -1332,7 +1331,7 @@ def _read_off(A: BuchiNfa, number: list[int], first: list[int]) -> BuchiNfa:
     m, n = len(first), A.state_count
     initial = [number[s] for s in A.initial if number[s] >= 0]
     accepting = [number[s] for s in A.accepting if number[s] >= 0]
-    if A._det:
+    if is_deterministic(A):
         if _on_arrays(n, len(A._class_rows)):
             import numpy as np
 

@@ -624,15 +624,21 @@ def _compile(
     return A, tuple(name for name in variables if bit.get(name, 0) & support)
 
 
-def _pack(interp: UpInterpretation, variables: Sequence[str], names: Sequence[str]) -> UpWord:
-    """interp_to_upword on the bits of names only, some of variables in
-    their order: the word an automaton over names reads.  Every assigned
-    name must be one of variables."""
-    for name in interp.sets:
-        if name not in variables:
-            raise UnknownVariable(f"variable {name} not declared")
-    kept = {name: w for name, w in interp.sets.items() if name in names}
-    return interp_to_upword(UpInterpretation(sets=kept, nums=interp.nums), names)
+def _leaf(node: MinFormula, interp: UpInterpretation, variables: Sequence[str], max_colors: int):
+    """An atom or Ex2(X, body) on interp, as models_up and ex2_witness
+    compile it: the node's or the body's automaton over its support
+    (_compile), the support, X's bit there (0 for an atom or a body that
+    does not read X), the projection dropping that bit, unreduced as
+    reducing never changes the language, and interp packed for the
+    projection.  The caller checks the assigned names; position values
+    are refused here (interp_to_upword)."""
+    quantified = isinstance(node, Ex2)
+    A, names = _compile(node.sub if quantified else node, variables, max_colors)
+    bit = 1 << names.index(node.var) if quantified and node.var in names else 0
+    proj = buchi.ex_project(A, bit) if bit else A
+    kept = [name for name in names if not quantified or name != node.var]
+    sets = {name: interp.sets[name] for name in kept if name in interp.sets}
+    return A, names, bit, proj, interp_to_upword(UpInterpretation(sets, interp.nums), kept)
 
 
 def models_up(
@@ -643,10 +649,11 @@ def models_up(
 ) -> bool:
     """Does the interpretation satisfy the formula?  Satisfaction on UP
     words obeys excluded middle (Not(f) holds exactly when f fails, And(f,
-    g) when both hold), so only atoms (_compile) and outermost Ex2 nodes
-    (_ex2_over) are compiled, and And skips its right operand when its left
-    one fails.  Verdicts are kept by node id, so a shared node is decided
-    once.  Every name, bound ones too, is checked first, skipped or not."""
+    g) when both hold), so only atoms and outermost Ex2 nodes are compiled
+    (_leaf), and And skips its right operand when its left one fails.
+    Verdicts are kept by node id, so a shared node is decided once.  Every
+    name of the formula, bound ones too, skipped or not, and every assigned
+    name is checked first, before anything is compiled."""
     alpha = SetAlphabet(tuple(variables))
 
     def free(node, names, args):
@@ -659,6 +666,8 @@ def models_up(
         raise UnassignedVariable(missing)
     if interp.nums:
         raise ValueError("minimal formulas take set assignments only")
+    for name in interp.sets:
+        alpha.bit(name)
     verdicts: dict[int, bool] = {}
     # a path from phi down to the node being decided
     stack = [phi]
@@ -676,12 +685,9 @@ def models_up(
                 stack.append(node.left if left is None else node.right)
                 continue
             verdict = left and right
-        elif isinstance(node, Ex2):
-            *_, proj, word = _ex2_over(node, interp, variables, max_colors)
-            verdict = buchi.membership_up(proj, word)
         else:
-            A, names = _compile(node, variables, max_colors)
-            verdict = buchi.membership_up(A, _pack(interp, variables, names))
+            *_, proj, word = _leaf(node, interp, variables, max_colors)
+            verdict = buchi.membership_up(proj, word)
         verdicts[id(node)] = verdict
         stack.pop()
     return verdicts[id(phi)]
@@ -729,17 +735,6 @@ def sat_min(
     return None if m is None else upword_to_interp(m.word(), names)
 
 
-def _ex2_over(phi: Ex2, interp: UpInterpretation, variables: Sequence[str], max_colors: int):
-    """Ex2(X, body) on interp: the body's automaton over its support
-    (_compile), the support, X's bit there (0 when the body does not read
-    X), the projection dropping that bit, unreduced as reducing never
-    changes the language, and interp packed for the projection."""
-    body, names = _compile(phi.sub, variables, max_colors)
-    bit = 1 << names.index(phi.var) if phi.var in names else 0
-    proj = buchi.ex_project(body, bit) if bit else body
-    return body, names, bit, proj, _pack(interp, variables, [n for n in names if n != phi.var])
-
-
 def ex2_witness(
     phi: Ex2,
     interp: UpInterpretation,
@@ -750,15 +745,19 @@ def ex2_witness(
     satisfy the quantified formula.
 
     The body is compiled over its support and projected by dropping X's
-    bit, when the body reads X (_ex2_over).  The match over the
+    bit, when the body reads X (_leaf).  The match over the
     projection is relabeled step by step back to letters the body
     automaton allows, X's bit 0 tried first; the projection only ever
     touched X's bit, so the relabeled word agrees with interp everywhere
-    else.
+    else.  Every assigned name is checked first, before anything is
+    compiled.
     """
     if not isinstance(phi, Ex2):
         raise TypeError("ex2_witness needs a quantified formula")
-    body_aut, names, bit, proj, packed = _ex2_over(phi, interp, variables, DEFAULT_MAX_COLORS)
+    alpha = SetAlphabet(tuple(variables))
+    for name in interp.sets:
+        alpha.bit(name)
+    body_aut, names, bit, proj, packed = _leaf(phi, interp, variables, DEFAULT_MAX_COLORS)
     m = buchi.match_for_up(proj, packed)
     if m is None:
         return None
@@ -862,12 +861,12 @@ def sat_full(
     found = sat_min(reduced, variables, max_colors=max_colors)
     if found is None:
         return None
-    free_fo, free_so = free_full(phi)
+    # the names found are phi's free variables, the helper being bound
     nums = {}
     sets = {}
     for name, word in found.sets.items():
-        if name in free_fo:
+        if name in first_order:
             nums[name] = decode_number(name, word)
-        elif name in free_so:
+        else:
             sets[name] = word
     return UpInterpretation(sets=sets, nums=nums)

@@ -823,9 +823,9 @@ def test_array_product_equals_pair_loop(monkeypatch):
     rng = random.Random(433)
     arrays, built = buchi._deterministic_product, []
 
-    def recorded(A, B):
+    def recorded(A, B, *classes):
         built.append((A, B))
-        return arrays(A, B)
+        return arrays(A, B, *classes)
 
     def route(pairs, build, A, B):
         monkeypatch.setattr(buchi, "_ARRAY_CROSSOVER", pairs)
@@ -1913,7 +1913,7 @@ def test_python_routes_match_array_routes(monkeypatch):
     rng = random.Random(3201)
     limit = 2 * buchi._ARRAY_CROSSOVER
     seen = dict.fromkeys(
-        ("shared", "no_successor", "nondet", "merged", "cut", "empty", "past_switch"), 0)
+        ("shared", "no_successor", "nondet", "merged", "cut", "cut_det", "empty", "past_switch"), 0)
     for i in range(240):
         A = _route_case(rng, limit, det=i % 3 == 0)
         n = A.state_count
@@ -1929,6 +1929,14 @@ def test_python_routes_match_array_routes(monkeypatch):
         # table on both routes
         T = _on_both_routes(monkeypatch, lambda X: buchi._trim(_marked(X)), A)
         seen["cut"] += T.state_count < n
+        if T.state_count < n and is_deterministic(_fresh(A)):
+            # unmarked, a cut deterministic input comes back marked all the
+            # same on both routes, as _read_off asks its determinism
+            seen["cut_det"] += 1
+            for crossover in (0, 10**9):
+                with monkeypatch.context() as m:
+                    m.setattr(buchi, "_ARRAY_CROSSOVER", crossover)
+                    assert buchi._trim(_fresh(A))._det is True, format_nfa(A)
         if n * n <= limit:
             _on_both_routes(monkeypatch, lambda X: buchi._reduce(_marked(X)), A)
         if i % 3 == 0:

@@ -716,6 +716,23 @@ def test_skipped_operands_still_have_their_names_checked():
         models_full_up(full, FoAnd(FoLess("x", "y"), FoEx1("z", FoLess("z", "x"))), FO, ())
 
 
+def test_undeclared_assigned_names_are_refused_before_compiling(monkeypatch):
+    # each command checks the assigned names once, before its first leaf is
+    # compiled, with the message the packing gave
+    def compile_fails(*args):
+        raise AssertionError("compiled before the assigned names were checked")
+
+    monkeypatch.setattr(logic, "_compile", compile_fails)
+    interp = UpInterpretation(sets={"X": bits("1", "0"), "Y": bits("0", "1"), "Z": bits("1", "1")})
+    with pytest.raises(UnknownVariable, match="^variable Z not declared$"):
+        models_up(interp, Incl("X", "Y"), XY)
+    with pytest.raises(UnknownVariable, match="^variable Z not declared$"):
+        ex2_witness(Ex2("X", Incl("X", "Y")), interp, XY)
+    full = UpInterpretation(nums={"x": 1, "y": 0, "z": 2})
+    with pytest.raises(UnknownVariable, match="^variable z not declared$"):
+        models_full_up(full, FoLess("x", "y"), FO, ())
+
+
 def _skipped_ands(phi, variables, word) -> int:
     # the Ands on models_up's walk of phi's Boolean skeleton whose left
     # operand fails on word, by the whole-formula route, so that their
