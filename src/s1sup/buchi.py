@@ -464,7 +464,7 @@ def _union_many(parts: Sequence[BuchiNfa], alphabet_size: int) -> BuchiNfa:
     for part in parts:
         if part.alphabet_size != alphabet_size:
             raise AlphabetMismatch(
-                f"alphabet {part.alphabet_size} differs from {alphabet_size}"
+                f"alphabets differ: {alphabet_size} vs {part.alphabet_size}"
             )
     offsets = []
     total = 0
@@ -487,11 +487,7 @@ def _union_many(parts: Sequence[BuchiNfa], alphabet_size: int) -> BuchiNfa:
 
 
 def union(A: BuchiNfa, B: BuchiNfa) -> BuchiNfa:
-    """Disjoint union; B's states follow A's."""
-    if A.alphabet_size != B.alphabet_size:
-        raise AlphabetMismatch(
-            f"alphabets differ: {A.alphabet_size} vs {B.alphabet_size}"
-        )
+    """Disjoint union; B's states follow A's (_union_many checks alphabets)."""
     return _union_many([A, B], A.alphabet_size)
 
 
@@ -898,8 +894,9 @@ def is_deterministic(A: BuchiNfa) -> bool:
     """At most one initial state and one successor per state and letter.
     The answer is kept on A, as is_weak keeps its own.  Results that are
     deterministic by construction are marked so: those built from a
-    successor table (_from_table) and the pair loop's products of two
-    operands known deterministic (_product)."""
+    successor table (_from_table) or read off a deterministic one
+    (_read_off), and the pair loop's products of two operands known
+    deterministic (_product)."""
     if A._det is None:
         A._det = len(A.initial) <= 1 and all(
             len(row) <= 1 for rows in A._class_rows for row in rows
@@ -1289,13 +1286,13 @@ def _from_table(n: int, table, alphabet_size: int, letter_class: Sequence[int],
     """The automaton of n states with successor table table, n for none,
     and at most one initial state: the one place that builds a
     deterministic automaton from a table.  table is an array (states,
-    classes), or its columns as Python lists, one per class.  The class
-    rows are read off once, and the result is marked deterministic.  It
-    keeps an array as its _successor_table, and builds one from columns
+    classes), or its columns as Python lists, one per class, from
+    complement_weak, _universal or complement_flip's Python route.  The
+    class rows are read off once, and the result is marked deterministic.
+    It keeps an array as its _successor_table, and builds one from columns
     from the switch on (_on_arrays), with the column of each of its
     classes' first letters, so columns of classes _make merges and columns
     no letter uses drop out; an array is kept itself when they are none.
-    Below the switch, columns give no table.
     """
     columns = table if isinstance(table, list) else table.T.tolist()
     single = [(s,) for s in range(n)] + [()]
@@ -1316,31 +1313,24 @@ def _from_table(n: int, table, alphabet_size: int, letter_class: Sequence[int],
 def _read_off(A: BuchiNfa, number: list[int], first: list[int]) -> BuchiNfa:
     """The automaton whose state i is A's state first[i] renamed by number:
     the one rebuild of _trim and _refine.  number[p] is p's new state, -1
-    when p is dropped, and number[n] is -1 for a missing successor.  For
-    a deterministic A (is_deterministic, asked here, as _trim's Python
-    route has not asked it), the renamed successors are the result's
-    table (_from_table), so the result is marked deterministic on both of
-    _trim's routes: from the switch on (_on_arrays), _successor_table(A)
-    gathered through number, below it Python columns.  A nondeterministic
-    A is rebuilt on Python rows at every size: a row of at most one
-    successor is that successor renamed, and a row of two or more the
-    sorted set of its kept successors' states.  So no nondeterministic
-    automaton gets a table here.  The initial and accepting states are A's
-    kept ones.
+    when p is dropped, and number[n] is -1 for a missing successor.  A
+    deterministic A from the switch on (_on_arrays) gathers its successor
+    table through number (_from_table).  Every other A, deterministic or
+    not, is rebuilt on Python rows: a row of at most one successor is that
+    successor renamed, and a row of two or more the sorted set of its kept
+    successors' states.  The result of a deterministic A (is_deterministic,
+    asked here, as _trim's Python route has not) is marked so on both
+    routes; no nondeterministic one gets a table.  The initial and
+    accepting states are A's kept ones.
     """
     m, n = len(first), A.state_count
     initial = [number[s] for s in A.initial if number[s] >= 0]
     accepting = [number[s] for s in A.accepting if number[s] >= 0]
-    if is_deterministic(A):
-        if _on_arrays(n, len(A._class_rows)):
-            import numpy as np
+    if is_deterministic(A) and _on_arrays(n, len(A._class_rows)):
+        import numpy as np
 
-            table = np.array(number)[_successor_table(A)[first]]
-            table[table < 0] = m
-        else:
-            none = (n,)
-            to = [m if b < 0 else b for b in number]
-            table = [[to[(rows[p] or none)[0]] for p in first] for rows in A._class_rows]
+        table = np.array(number)[_successor_table(A)[first]]
+        table[table < 0] = m
         return _from_table(m, table, A.alphabet_size, A._letter_class, initial, accepting)
     single = [(b,) for b in range(m)] + [()]
     rows = [
@@ -1349,7 +1339,9 @@ def _read_off(A: BuchiNfa, number: list[int], first: list[int]) -> BuchiNfa:
                for row in map(rows.__getitem__, first)])
         for rows in A._class_rows
     ]
-    return BuchiNfa._make(m, A.alphabet_size, A._letter_class, rows, initial, accepting)
+    out = BuchiNfa._make(m, A.alphabet_size, A._letter_class, rows, initial, accepting)
+    out._det = A._det or None
+    return out
 
 
 def _refine(A: BuchiNfa) -> BuchiNfa:

@@ -624,36 +624,10 @@ def _compile(
     return A, tuple(name for name in variables if bit.get(name, 0) & support)
 
 
-def _leaf(node: MinFormula, interp: UpInterpretation, variables: Sequence[str], max_colors: int):
-    """An atom or Ex2(X, body) on interp, as models_up and ex2_witness
-    compile it: the node's or the body's automaton over its support
-    (_compile), the support, X's bit there (0 for an atom or a body that
-    does not read X), the projection dropping that bit, unreduced as
-    reducing never changes the language, and interp packed for the
-    projection.  The caller checks the assigned names; position values
-    are refused here (interp_to_upword)."""
-    quantified = isinstance(node, Ex2)
-    A, names = _compile(node.sub if quantified else node, variables, max_colors)
-    bit = 1 << names.index(node.var) if quantified and node.var in names else 0
-    proj = buchi.ex_project(A, bit) if bit else A
-    kept = [name for name in names if not quantified or name != node.var]
-    sets = {name: interp.sets[name] for name in kept if name in interp.sets}
-    return A, names, bit, proj, interp_to_upword(UpInterpretation(sets, interp.nums), kept)
-
-
-def models_up(
-    interp: UpInterpretation,
-    phi: MinFormula,
-    variables: Sequence[str],
-    max_colors: int = DEFAULT_MAX_COLORS,
-) -> bool:
-    """Does the interpretation satisfy the formula?  Satisfaction on UP
-    words obeys excluded middle (Not(f) holds exactly when f fails, And(f,
-    g) when both hold), so only atoms and outermost Ex2 nodes are compiled
-    (_leaf), and And skips its right operand when its left one fails.
-    Verdicts are kept by node id, so a shared node is decided once.  Every
-    name of the formula, bound ones too, skipped or not, and every assigned
-    name is checked first, before anything is compiled."""
+def _check_interp(interp: UpInterpretation, phi: MinFormula, variables: Sequence[str]) -> None:
+    """What models_up and ex2_witness refuse, before compiling: a name of
+    phi, bound or free, or an assigned one that is not declared, a free
+    variable without a value, and a position value."""
     alpha = SetAlphabet(tuple(variables))
 
     def free(node, names, args):
@@ -668,6 +642,39 @@ def models_up(
         raise ValueError("minimal formulas take set assignments only")
     for name in interp.sets:
         alpha.bit(name)
+
+
+def _leaf(node: MinFormula, interp: UpInterpretation, variables: Sequence[str], max_colors: int):
+    """An atom or Ex2(X, body) on interp, as models_up and ex2_witness
+    compile it: the node's or the body's automaton over its support
+    (_compile), the support, X's bit there (0 for an atom or a body that
+    does not read X), the projection dropping that bit, unreduced as
+    reducing never changes the language, and interp packed for the
+    projection.  The caller has checked interp (_check_interp), so every
+    name packed has a set value."""
+    quantified = isinstance(node, Ex2)
+    A, names = _compile(node.sub if quantified else node, variables, max_colors)
+    bit = 1 << names.index(node.var) if quantified and node.var in names else 0
+    proj = buchi.ex_project(A, bit) if bit else A
+    kept = [name for name in names if not quantified or name != node.var]
+    sets = {name: interp.sets[name] for name in kept}
+    return A, names, bit, proj, interp_to_upword(UpInterpretation(sets), kept)
+
+
+def models_up(
+    interp: UpInterpretation,
+    phi: MinFormula,
+    variables: Sequence[str],
+    max_colors: int = DEFAULT_MAX_COLORS,
+) -> bool:
+    """Does the interpretation satisfy the formula?  Satisfaction on UP
+    words obeys excluded middle (Not(f) holds exactly when f fails, And(f,
+    g) when both hold), so only atoms and outermost Ex2 nodes are compiled
+    (_leaf), and And skips its right operand when its left one fails.
+    Verdicts are kept by node id, so a shared node is decided once.  The
+    interpretation is checked first, skipped operands included, before
+    anything is compiled (_check_interp)."""
+    _check_interp(interp, phi, variables)
     verdicts: dict[int, bool] = {}
     # a path from phi down to the node being decided
     stack = [phi]
@@ -749,14 +756,12 @@ def ex2_witness(
     projection is relabeled step by step back to letters the body
     automaton allows, X's bit 0 tried first; the projection only ever
     touched X's bit, so the relabeled word agrees with interp everywhere
-    else.  Every assigned name is checked first, before anything is
-    compiled.
+    else.  The interpretation is checked first, as models_up checks it
+    (_check_interp), so the two refuse the same inputs.
     """
     if not isinstance(phi, Ex2):
         raise TypeError("ex2_witness needs a quantified formula")
-    alpha = SetAlphabet(tuple(variables))
-    for name in interp.sets:
-        alpha.bit(name)
+    _check_interp(interp, phi, variables)
     body_aut, names, bit, proj, packed = _leaf(phi, interp, variables, DEFAULT_MAX_COLORS)
     m = buchi.match_for_up(proj, packed)
     if m is None:

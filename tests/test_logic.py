@@ -14,6 +14,7 @@ from oracles import (
     random_full_interp,
     random_min_formula,
     random_min_interp,
+    random_up_word,
 )
 from s1sup.logic import (
     And,
@@ -52,6 +53,7 @@ from s1sup.logic import (
 )
 from s1sup import buchi, logic
 from s1sup.buchi import BuchiNfa, format_nfa, membership_up
+from s1sup.complement import complement
 from s1sup.encodings import MERGE_FIRST_ORDER, _merge_machine, merge_second_order, phi_merge
 from s1sup.semigroup import UpWord, new_semigroup, up_at, up_equiv
 from s1sup.syntax import parse_formula
@@ -718,7 +720,10 @@ def test_skipped_operands_still_have_their_names_checked():
 
 def test_undeclared_assigned_names_are_refused_before_compiling(monkeypatch):
     # each command checks the assigned names once, before its first leaf is
-    # compiled, with the message the packing gave
+    # compiled, with the message the packing gave; ex2_witness checks its
+    # interpretation as models_up does, so an unassigned free variable of
+    # the body, an undeclared bound variable and a position value are
+    # refused by both alike, before compiling too
     def compile_fails(*args):
         raise AssertionError("compiled before the assigned names were checked")
 
@@ -731,6 +736,19 @@ def test_undeclared_assigned_names_are_refused_before_compiling(monkeypatch):
     full = UpInterpretation(nums={"x": 1, "y": 0, "z": 2})
     with pytest.raises(UnknownVariable, match="^variable z not declared$"):
         models_full_up(full, FoLess("x", "y"), FO, ())
+    sets = {"X": bits("1", "0"), "Y": bits("0", "1")}
+    refused = [
+        (Ex2("Z", And(Incl("X", "Z"), Incl("Z", "Y"))), UpInterpretation(sets={"X": bits("1", "0")}),
+         ("X", "Y", "Z"), UnassignedVariable, "unassigned variables: Y"),
+        (Ex2("Q", Incl("X", "Y")), UpInterpretation(sets=sets), XY, UnknownVariable, "variable Q not declared"),
+        (Ex2("X", Incl("X", "Y")), UpInterpretation(sets=sets, nums={"Y": 2}), XY,
+         ValueError, "minimal formulas take set assignments only"),
+    ]
+    for phi, interp, variables, error, message in refused:
+        with pytest.raises(error, match=f"^{message}$"):
+            models_up(interp, phi, variables)
+        with pytest.raises(error, match=f"^{message}$"):
+            ex2_witness(phi, interp, variables)
 
 
 def _skipped_ands(phi, variables, word) -> int:
@@ -1098,6 +1116,60 @@ def test_cli_formula_compiles_are_pinned():
         phi = random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2)
         digest.update(format_nfa(translate(*reduce_full(phi, FO, SO))).encode())
     assert digest.hexdigest() == CLI_FORMULAS_SHA256
+
+
+def _negated_operands(formulas):
+    # the distinct automata logic._negate complements while translating
+    # each (formula, variables) pair
+    negate, seen = logic._negate, {}
+
+    def recorded(A, max_colors):
+        seen.setdefault(format_nfa(A), A)
+        return negate(A, max_colors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(logic, "_negate", recorded)
+        for phi, variables in formulas:
+            translate(phi, variables)
+    return list(seen.values())
+
+
+def test_every_negated_operand_is_complemented_alike_by_every_route():
+    # each operand _negate sees in the TRIV, LP and Z2 merge compiles and in
+    # the CLI formulas of test_cli_formula_compiles_are_pinned, complemented
+    # by every route that applies to it, rejects exactly the operand's words
+    # on seeded UP words; the Ramsey closure of LP's and Z2's 7-state
+    # nondeterministic operands takes 0.6-1.0 s each, so it gets operands
+    # of at most 6 states
+    rng = random.Random(107)
+    cli = [reduce_full(random_full_formula(rng, FO, SO, rng.randint(1, 3), quantifiers=2), FO, SO)
+           for _ in range(150)]
+    merges = [[reduce_full(phi_merge(g), MERGE_FIRST_ORDER, merge_second_order(g))]
+              for g in (new_semigroup(size, table) for size, table in MERGE_COMPILE_SHA256)]
+    words = random.Random(3701)
+    runs = dict.fromkeys(["flip", "deterministic", "weak", "ramsey", "nondeterministic ramsey"], 0)
+    for formulas in [cli, *merges]:
+        operands = _negated_operands(formulas)
+        assert operands
+        for A in operands:
+            deterministic, weak = buchi.is_deterministic(A), buchi.is_weak(A)
+            routes = {
+                "flip": buchi.complement_flip if deterministic and weak else None,
+                "deterministic": buchi.complement_deterministic if deterministic else None,
+                "weak": buchi.complement_weak if weak else None,
+                "ramsey": complement if A.state_count <= 6 else None,
+            }
+            for route, complement_by in routes.items():
+                if complement_by is None:
+                    continue
+                C = complement_by(A)
+                for _ in range(30):
+                    sigma = random_up_word(words, A.alphabet_size)
+                    assert membership_up(C, sigma) != membership_up(A, sigma), (route, A)
+                runs[route] += 1
+                if route == "ramsey" and not deterministic:
+                    runs["nondeterministic ramsey"] += 1
+    assert all(runs.values()), runs
 
 
 def _quantified(phi):
